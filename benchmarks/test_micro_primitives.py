@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from repro.algorithms import GeMMConfig, get_algorithm
-from repro.autotuner import tune
+from repro.autotuner import tune_model
 from repro.comm.ops import ring_allgather
 from repro.core import GeMMShape, meshslice_os, slice_col
 from repro.core.dataflow import Dataflow
@@ -75,5 +75,5 @@ def test_simulator_throughput(benchmark):
 @pytest.mark.repro("Section 3.2 (LLM autotuner)")
 def test_autotuner_speed(benchmark):
     """The paper: the autotuner finishes in seconds. Ours: well under."""
-    result = benchmark(tune, GPT3_175B, 128, 256, TPUV4)
+    result = benchmark(tune_model, GPT3_175B, 128, 256, TPUV4)
     assert result.mesh.size == 256

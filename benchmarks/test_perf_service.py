@@ -4,7 +4,7 @@ Not a paper artifact: tracks the serving layer's amortization. A
 zipf-distributed query mix (heavy head of repeated configs, long tail
 of variants) is replayed through :class:`repro.service.TunerService`
 backed by a fresh on-disk plan store; the reference numbers — served
-throughput, speedup over per-query cold ``tune()``, warm-start prune
+throughput, speedup over per-query cold ``execute()``, warm-start prune
 ratio, latency tails — live in ``benchmarks/BENCH_service.json``. The
 acceptance floor (served >= 5x cold) is enforced both here and by the
 CI perf-smoke leg.

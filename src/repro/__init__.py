@@ -21,7 +21,8 @@ Quickstart::
 The timing plane is one import away — the stable entry points are
 :func:`simulate` (run a built program on a hardware preset, optionally
 under a :class:`FaultPlan`), :func:`tune` / :func:`robust_tune` (the
-autotuner, nominal and fault-aware), and :func:`get_algorithm` /
+autotuner, nominal and fault-aware; both take a :class:`TuneRequest`
+and are :func:`repro.service.execute`), and :func:`get_algorithm` /
 :func:`algorithm_names` (the distributed GeMM algorithm registry)::
 
     from repro import TPUV4, get_algorithm, simulate
@@ -57,7 +58,7 @@ from repro.hw import (
 )
 from repro.mesh import Mesh2D, MeshExecutor, Ring1D, mesh_shapes
 
-__version__ = "1.9.0"
+__version__ = "1.10.0"
 
 #: Lazily-loaded stable API (PEP 562): name -> (module, attribute).
 #: Importing these eagerly would pull the whole timing plane (and the
@@ -98,10 +99,10 @@ _LAZY_EXPORTS = {
     "profile_block": ("repro.obs", "profile_block"),
     "migration_seconds": ("repro.recovery", "migration_seconds"),
     "retune_degraded": ("repro.recovery", "retune_degraded"),
-    "robust_tune": ("repro.autotuner", "robust_tune"),
+    "robust_tune": ("repro.service.request", "execute"),
     "simulate": ("repro.sim.cluster", "simulate"),
     "simulate_lifetime": ("repro.recovery", "simulate_lifetime"),
-    "tune": ("repro.autotuner", "tune"),
+    "tune": ("repro.service.request", "execute"),
 }
 
 __all__ = [

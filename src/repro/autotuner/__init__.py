@@ -23,9 +23,8 @@ from repro.autotuner.search import (
     RobustTuningResult,
     TunedPass,
     TuningResult,
-    robust_tune,
+    mesh_search,
     robust_tune_model,
-    tune,
     tune_mesh,
     tune_model,
 )
@@ -43,14 +42,13 @@ __all__ = [
     "best_sliced_slice_count",
     "choose_stationary",
     "collective_estimate",
+    "mesh_search",
     "meshslice_estimate",
     "pass_plans",
     "plan_layer",
     "plan_model",
-    "robust_tune",
     "robust_tune_model",
     "sliced_estimate",
-    "tune",
     "tune_mesh",
     "tune_model",
     "valid_slice_counts_for",

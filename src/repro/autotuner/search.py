@@ -8,19 +8,28 @@ time. The search space is small — a handful of integer factorizations
 times a handful of divisors — so tuning completes in well under a
 second.
 
-:func:`robust_tune` adds a fault-aware mode on top: instead of the
-nominal analytical block time, the mesh shape is chosen to minimize a
-tail quantile (p95 by default) of the *simulated* block time over a
-seeded ensemble of :class:`repro.faults.FaultPlan` realizations — the
-deployment question "which shape degrades most gracefully when chips
-straggle and links degrade", which the nominal tuner cannot see.
+:func:`mesh_search` is the one loop that picks the winning mesh. Every
+Phase-2 search — :func:`tune_model`, :func:`robust_tune_model`, the
+warm-started :func:`repro.service.warmstart.warm_tune` and the
+simulated :func:`repro.experiments.common.best_block_run` — supplies
+only the visit order and a per-candidate evaluator, as do the
+experiments' single-GeMM mesh sweeps.
+
+:func:`robust_tune_model` adds a fault-aware mode on top: instead of
+the nominal analytical block time, the mesh shape is chosen to
+minimize a tail quantile (p95 by default) of the *simulated* block
+time over a seeded ensemble of :class:`repro.faults.FaultPlan`
+realizations — the deployment question "which shape degrades most
+gracefully when chips straggle and links degrade", which the nominal
+tuner cannot see. Callers usually reach both through
+:meth:`repro.service.TuneRequest.run`.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.algorithms.base import GeMMConfig
 from repro.autotuner.costmodel import CostEstimate, best_slice_count
@@ -30,6 +39,12 @@ from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D, mesh_shapes
 from repro.models.config import LLMConfig
 from repro.obs.registry import registry as _metrics
+
+_T = TypeVar("_T")
+
+#: A candidate's rank in the mesh search: block seconds, then the
+#: candidate's index in the caller's original candidate list.
+SearchKey = Tuple[float, int]
 
 
 @dataclasses.dataclass(frozen=True)
@@ -82,6 +97,50 @@ class TuningResult:
         raise KeyError(f"no tuned pass {layer_name}/{pass_name}")
 
 
+def mesh_search(
+    order: Iterable[int],
+    evaluate: Callable[[int, Optional[SearchKey]], Optional[Tuple[float, _T]]],
+) -> Optional[Tuple[SearchKey, _T]]:
+    """Phase 2's search loop: keep the fastest of the visited candidates.
+
+    Candidates are visited by original index in ``order``.
+    ``evaluate(index, incumbent)`` returns ``(seconds, payload)`` for
+    candidate ``index``; ``incumbent`` is the key of the best candidate
+    so far (``None`` before the first). The evaluator may return
+    ``None`` in two cases only: the candidate is unsupported, or it is
+    proven unable to beat ``incumbent`` under the key.
+
+    The winner minimizes ``(seconds, index)``, so an exact tie goes to
+    the earlier original index whatever the visit order — the answer
+    of an exhaustive scan in index order that keeps the first strictly
+    better candidate. Returns ``(key, payload)`` of the winner, or
+    ``None`` when no candidate produced a time.
+    """
+    best: Optional[Tuple[SearchKey, _T]] = None
+    for index in order:
+        outcome = evaluate(index, None if best is None else best[0])
+        if outcome is None:
+            continue
+        key = (outcome[0], index)
+        if best is None or key < best[0]:
+            best = (key, outcome[1])
+    return best
+
+
+def cutoff_for(incumbent: SearchKey, index: int) -> float:
+    """The largest block time with which candidate ``index`` still wins.
+
+    A candidate beats ``incumbent`` with a strictly smaller time, or
+    with an equal one from an earlier original index. Once a partial
+    block time (pass costs are nonnegative) exceeds this value, the
+    candidate cannot win.
+    """
+    seconds, incumbent_index = incumbent
+    if index < incumbent_index:
+        return seconds
+    return math.nextafter(seconds, -math.inf)
+
+
 def tune_mesh(
     plans: Sequence[LayerPlan],
     mesh: Mesh2D,
@@ -89,12 +148,18 @@ def tune_mesh(
     max_slices: int = 64,
     abft: bool = False,
     sdc_rate: float = 0.0,
+    cutoff: Optional[float] = None,
 ) -> Tuple[List[TunedPass], float]:
     """Tune every pass's slice count for one fixed mesh shape.
 
     With ``abft=True`` the slice-count search optimizes the *protected*
     analytical estimate — checksum encodes, enlarged collective
     payloads, and the verify/expected-recompute epilogue all count.
+
+    With ``cutoff``, tuning stops as soon as the partial block time
+    exceeds it: the returned total is then above ``cutoff`` and the
+    list holds only the passes tuned so far. Totals that stay within
+    ``cutoff`` are the same float sums as without it.
     """
     tuned: List[TunedPass] = []
     total = 0.0
@@ -121,6 +186,8 @@ def tune_mesh(
                 )
             )
             total += estimate.total
+            if cutoff is not None and total > cutoff:
+                return tuned, total
     return tuned, total
 
 
@@ -160,24 +227,27 @@ def tune_model(
     if not candidates:
         raise ValueError(f"no candidate mesh shapes for {chips} chips")
 
-    best: Optional[TuningResult] = None
     per_mesh: Dict[Tuple[int, int], float] = {}
-    for mesh in candidates:
+
+    def evaluate(index: int, _incumbent) -> Tuple[float, List[TunedPass]]:
+        # Exhaustive: never prunes, so every shape gets a time.
+        mesh = candidates[index]
         tuned, total = tune_mesh(
             plans, mesh, hw, max_slices, abft=abft, sdc_rate=sdc_rate
         )
         per_mesh[mesh.shape] = total
-        if best is None or total < best.block_seconds:
-            best = TuningResult(
-                mesh=mesh,
-                passes=tuple(tuned),
-                block_seconds=total,
-                per_mesh_seconds={},
-            )
+        return total, tuned
+
+    (seconds, index), tuned = mesh_search(range(len(candidates)), evaluate)
     reg = _metrics()
     reg.inc("tuner.runs", labels={"model": model.name})
     reg.inc("tuner.meshes_searched", float(len(candidates)))
-    return dataclasses.replace(best, per_mesh_seconds=per_mesh)
+    return TuningResult(
+        mesh=candidates[index],
+        passes=tuple(tuned),
+        block_seconds=seconds,
+        per_mesh_seconds=per_mesh,
+    )
 
 
 # --------------------------------------------------------------- robust mode
@@ -185,7 +255,7 @@ def tune_model(
 
 @dataclasses.dataclass(frozen=True)
 class RobustTuningResult:
-    """Output of :func:`robust_tune`.
+    """Output of :func:`robust_tune_model`.
 
     Attributes:
         mesh: The mesh shape minimizing the robust objective.
@@ -282,18 +352,16 @@ def robust_tune_model(
     fault_plans = spec.ensemble(chips, hw, ensemble)
     alg = get_algorithm(algorithm)
 
-    best_mesh: Optional[Mesh2D] = None
-    best_tuned: List[TunedPass] = []
-    best_robust = 0.0
-    best_mean = 0.0
     per_mesh: Dict[Tuple[int, int], float] = {}
-    for mesh in candidates:
+
+    def evaluate(index: int, _incumbent):
+        mesh = candidates[index]
         tuned, _estimate = tune_mesh(
             plans, mesh, hw, max_slices, abft=abft, sdc_rate=sdc_rate
         )
         configs = [t.config(mesh) for t in tuned]
         if any(alg.check_support(cfg) for cfg in configs):
-            continue
+            return None
         totals = [
             sum(faulted_pass(algorithm, cfg, hw, plan).makespan
                 for cfg in configs)
@@ -301,15 +369,15 @@ def robust_tune_model(
         ]
         robust = _quantile(totals, quantile)
         per_mesh[mesh.shape] = robust
-        if best_mesh is None or robust < best_robust:
-            best_mesh = mesh
-            best_tuned = tuned
-            best_robust = robust
-            best_mean = sum(totals) / len(totals)
-    if best_mesh is None:
+        return robust, (tuned, sum(totals) / len(totals))
+
+    best = mesh_search(range(len(candidates)), evaluate)
+    if best is None:
         raise ValueError(
             f"no candidate mesh supports {algorithm!r} at {chips} chips"
         )
+    (best_robust, index), (best_tuned, best_mean) = best
+    best_mesh = candidates[index]
     nominal = sum(
         simulated_pass(algorithm, t.config(best_mesh), hw).makespan
         for t in best_tuned
@@ -331,59 +399,3 @@ def robust_tune_model(
         per_mesh_robust=per_mesh,
         fault_plans=fault_plans,
     )
-
-
-# ------------------------------------------------------- deprecated shims
-
-
-def _legacy_warning(name: str) -> None:
-    import warnings
-
-    warnings.warn(
-        f"{name}(model, batch, ...) with positional arguments is "
-        f"deprecated since 1.6.0; build a repro.service.TuneRequest "
-        f"and call request.run() (or serve it through "
-        f"repro.service.TunerService)",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
-def tune(request, *args, **kwargs) -> TuningResult:
-    """Tune a nominal configuration (unified-request entry point).
-
-    Pass a single :class:`repro.service.TuneRequest` (any mode-"tune"
-    request). The legacy positional form ``tune(model, batch, chips,
-    hw, ...)`` still works as a deprecated shim over
-    :func:`tune_model`.
-    """
-    from repro.service.request import TuneRequest, execute
-
-    if isinstance(request, TuneRequest):
-        if args or kwargs:
-            raise TypeError(
-                "tune(TuneRequest) takes no further arguments"
-            )
-        return execute(request)
-    _legacy_warning("tune")
-    return tune_model(request, *args, **kwargs)
-
-
-def robust_tune(request, *args, **kwargs) -> RobustTuningResult:
-    """Fault-aware tuning (unified-request entry point).
-
-    Pass a single mode-"robust" :class:`repro.service.TuneRequest`.
-    The legacy positional form ``robust_tune(model, batch, chips, hw,
-    spec, ...)`` still works as a deprecated shim over
-    :func:`robust_tune_model`.
-    """
-    from repro.service.request import TuneRequest, execute
-
-    if isinstance(request, TuneRequest):
-        if args or kwargs:
-            raise TypeError(
-                "robust_tune(TuneRequest) takes no further arguments"
-            )
-        return execute(request)
-    _legacy_warning("robust_tune")
-    return robust_tune_model(request, *args, **kwargs)

@@ -95,14 +95,12 @@ def best_meshslice_topology(
 ) -> Tuple[Mesh2D, float]:
     """The traffic-minimizing 2D mesh for MeshSlice+DP."""
     per_mesh = chips // copies
-    best = None
-    for mesh in mesh_shapes(per_mesh, min_dim=2):
-        traffic = traffic_meshslice_dp(shape, mesh, copies)
-        if best is None or traffic < best[1]:
-            best = (mesh, traffic)
-    if best is None:
+    meshes = mesh_shapes(per_mesh, min_dim=2)
+    if not meshes:
         raise ValueError(f"no 2D mesh for {per_mesh} chips")
-    return best
+    # min() keeps the first of equal-traffic meshes.
+    mesh = min(meshes, key=lambda m: traffic_meshslice_dp(shape, m, copies))
+    return mesh, traffic_meshslice_dp(shape, mesh, copies)
 
 
 def run(

@@ -20,10 +20,10 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-from repro.algorithms import GeMMConfig, get_algorithm
+from repro.algorithms import GeMMConfig
 from repro.campaign.spec import CampaignSpec
 from repro.core.dataflow import Dataflow
-from repro.experiments.common import candidate_meshes, render_table, tuned_slices
+from repro.experiments.common import best_gemm_mesh, render_table, tuned_slices
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
 from repro.models.config import LLMConfig
@@ -33,7 +33,6 @@ from repro.models.inference import (
     is_memory_bound,
 )
 from repro.models.zoo import GPT3_175B
-from repro.sim.cluster import simulate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -102,20 +101,16 @@ def run(
 def _best_latency(
     algorithm: str, shape, chips: int, hw: HardwareParams
 ) -> Optional[Tuple[float, int]]:
-    alg = get_algorithm(algorithm)
-    best = None
-    for mesh in candidate_meshes(algorithm, chips):
+    def config_for(mesh):
         base = GeMMConfig(shape, mesh, Dataflow.OS, slices=1)
-        slices = 1
-        if algorithm not in ("collective", "cannon"):
-            slices = tuned_slices(base, hw)
-        cfg = dataclasses.replace(base, slices=slices)
-        if not alg.supports(cfg):
-            continue
-        result = simulate(alg.build_program(cfg, hw), hw)
-        if best is None or result.makespan < best[0]:
-            best = (result.makespan, slices)
-    return best
+        if algorithm in ("collective", "cannon"):
+            return base
+        return dataclasses.replace(base, slices=tuned_slices(base, hw))
+
+    best = best_gemm_mesh(
+        algorithm, chips, hw, config_for, lambda result: result.makespan
+    )
+    return None if best is None else (best[0], best[1].slices)
 
 
 def mean_tuned_slices(rows: Sequence[InferenceRow], phase: str) -> float:

@@ -36,7 +36,6 @@ from repro.hw.params import HardwareParams
 from repro.hw.presets import GPU_LOGICAL_MESH, TPUV4
 from repro.mesh.topology import mesh_shapes
 from repro.models.config import LLMConfig
-from repro.models.layers import block_fc_flops
 from repro.models.zoo import GPT3_175B
 
 
@@ -90,17 +89,13 @@ def cost_model_agreement(
     batch = weak_scaling_batch(chips)
     tokens = model.tokens(batch)
     plans = plan_model(model, tokens)
-    flops_per_chip = block_fc_flops(model, tokens) / chips
-    best_est = best_sim = None
-    for mesh in mesh_shapes(chips, min_dim=2):
-        _tuned, est_seconds = tune_mesh(plans, mesh, hw)
-        block = run_block("meshslice", plans, mesh, hw)
-        if best_est is None or est_seconds < best_est[1]:
-            best_est = (mesh.shape, est_seconds)
-        if best_sim is None or block.seconds < best_sim[1]:
-            best_sim = (mesh.shape, block.seconds)
-    del flops_per_chip
-    return best_est[0], best_sim[0]
+    meshes = mesh_shapes(chips, min_dim=2)
+    # min() keeps the first of equally fast meshes.
+    est = min(meshes, key=lambda mesh: tune_mesh(plans, mesh, hw)[1])
+    sim = min(
+        meshes, key=lambda mesh: run_block("meshslice", plans, mesh, hw).seconds
+    )
+    return est.shape, sim.shape
 
 
 @dataclasses.dataclass(frozen=True)

@@ -22,12 +22,12 @@ from __future__ import annotations
 import dataclasses
 from typing import List, Optional, Sequence, Tuple
 
-from repro.algorithms import GeMMConfig, algorithm_names, get_algorithm
+from repro.algorithms import GeMMConfig, algorithm_names
 from repro.campaign.spec import CampaignSpec
 from repro.core.dataflow import Dataflow
 from repro.core.gemm import GeMMShape
 from repro.experiments.common import (
-    candidate_meshes,
+    best_gemm_mesh,
     grid_map,
     render_table,
     tuned_slices,
@@ -35,7 +35,6 @@ from repro.experiments.common import (
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
 from repro.mesh.topology import curve_length, hilbert_order, morton_order
-from repro.sim.cluster import simulate
 
 #: The compared GeMM grid: (label, (M, N, K), chips).
 ZOO_POINTS: Tuple[Tuple[str, Tuple[int, int, int], int], ...] = (
@@ -70,9 +69,7 @@ def _best_for_point(
     chips: int,
     hw: HardwareParams,
 ) -> Optional[Tuple[float, str]]:
-    alg = get_algorithm(algorithm)
-    best = None
-    for mesh in candidate_meshes(algorithm, chips):
+    def config_for(mesh):
         base = GeMMConfig(
             shape=GeMMShape(*shape),
             mesh=mesh,
@@ -82,14 +79,14 @@ def _best_for_point(
         slices = _fixed_slices(algorithm)
         if slices is None:
             slices = tuned_slices(base, hw)
-        cfg = dataclasses.replace(base, slices=slices)
-        if not alg.supports(cfg):
-            continue
-        result = simulate(alg.build_program(cfg, hw), hw)
-        util = result.flop_utilization()
-        if best is None or util > best[0]:
-            best = (util, str(mesh))
-    return best
+        return dataclasses.replace(base, slices=slices)
+
+    # The highest utilization wins: minimize its negation.
+    best = best_gemm_mesh(
+        algorithm, chips, hw, config_for,
+        lambda result: -result.flop_utilization(),
+    )
+    return None if best is None else (-best[0], str(best[1].mesh))
 
 
 def _point_rows(point) -> List[ZooRow]:

@@ -42,7 +42,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import traceback
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, TypeVar
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
 from repro.algorithms import GeMMConfig, get_algorithm
 from repro.autotuner.costmodel import (
@@ -52,6 +52,7 @@ from repro.autotuner.costmodel import (
 )
 from repro.core.dataflow import Dataflow
 from repro.autotuner.dataflow import LayerPlan, PassPlan, plan_model
+from repro.autotuner.search import mesh_search
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D, mesh_shapes, square_mesh
 from repro.models.config import LLMConfig
@@ -62,7 +63,7 @@ from repro.perf.pipeline import (
     pass_lower_bound,
     simulated_pass,
 )
-from repro.sim.cluster import SimResult
+from repro.sim.cluster import SimResult, simulate
 
 #: Safety factor on the branch-and-bound cutoff: a candidate is pruned
 #: only when its certified bound exceeds the incumbent by more than one
@@ -355,8 +356,9 @@ def best_block_run(
     (``batch_size`` is then the effective batch for ``model.tokens``).
 
     The search result is identical to exhaustively simulating every
-    candidate mesh: candidates are visited in analytical-estimate order
-    and abandoned via the certified ``abort_above`` cutoff, and ties on
+    candidate mesh: the :func:`~repro.autotuner.search.mesh_search`
+    kernel visits candidates in analytical-estimate order, each is
+    abandoned via the certified ``abort_above`` cutoff, and ties on
     ``seconds`` resolve to the earliest mesh in ``candidate_meshes``
     order, exactly as the exhaustive first-strictly-better scan did.
     """
@@ -365,27 +367,50 @@ def best_block_run(
         plans = plan_model(model, tokens, optimize_dataflow=optimize_dataflow)
     meshes = candidate_meshes(algorithm, chips)
     tune_hw = tuning_hw or hw
-    best: Optional[BlockRun] = None
-    best_idx = -1
-    for idx in _candidate_order(algorithm, plans, meshes, tune_hw, max_slices):
+
+    def evaluate(idx: int, incumbent) -> Optional[Tuple[float, BlockRun]]:
         try:
             run = run_block(
                 algorithm, plans, meshes[idx], hw,
                 tuning_hw=tuning_hw, max_slices=max_slices,
-                abort_above=None if best is None else best.seconds,
+                abort_above=None if incumbent is None else incumbent[0],
             )
         except ValueError:
-            continue
-        if run is None:
-            continue
-        if (
-            best is None
-            or run.seconds < best.seconds
-            or (run.seconds == best.seconds and idx < best_idx)
-        ):
-            best = run
-            best_idx = idx
-    return best
+            return None
+        return None if run is None else (run.seconds, run)
+
+    best = mesh_search(
+        _candidate_order(algorithm, plans, meshes, tune_hw, max_slices),
+        evaluate,
+    )
+    return None if best is None else best[1]
+
+
+def best_gemm_mesh(
+    algorithm: str,
+    chips: int,
+    hw: HardwareParams,
+    config_for: Callable[[Mesh2D], GeMMConfig],
+    cost: Callable[[SimResult], float],
+) -> Optional[Tuple[float, GeMMConfig]]:
+    """Simulate one GeMM on every candidate mesh; keep the lowest ``cost``.
+
+    ``config_for(mesh)`` is the configuration tried on a candidate;
+    configurations the algorithm does not support are skipped. Returns
+    ``(cost, config)`` of the winner — ties go to the earlier
+    ``candidate_meshes`` entry — or ``None`` when nothing runs.
+    """
+    alg = get_algorithm(algorithm)
+    meshes = candidate_meshes(algorithm, chips)
+
+    def evaluate(idx: int, _incumbent) -> Optional[Tuple[float, GeMMConfig]]:
+        cfg = config_for(meshes[idx])
+        if not alg.supports(cfg):
+            return None
+        return cost(simulate(alg.build_program(cfg, hw), hw)), cfg
+
+    best = mesh_search(range(len(meshes)), evaluate)
+    return None if best is None else (best[0][0], best[1])
 
 
 def end_to_end_step_seconds(

@@ -13,11 +13,11 @@ from __future__ import annotations
 import dataclasses
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms import GeMMConfig, TWO_D_ALGORITHMS, get_algorithm
+from repro.algorithms import GeMMConfig, TWO_D_ALGORITHMS
 from repro.autotuner.dataflow import PassPlan, plan_model
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
-    candidate_meshes,
+    best_gemm_mesh,
     grid_map,
     render_table,
     tuned_slices,
@@ -26,7 +26,6 @@ from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
 from repro.models.config import LLMConfig
 from repro.models.zoo import GPT3_175B, MEGATRON_NLG_530B
-from repro.sim.cluster import simulate
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,8 +105,6 @@ def run(
 def _best_for_shape(
     algorithm: str, pass_plan: PassPlan, chips: int, hw: HardwareParams
 ) -> Optional[Tuple[float, object]]:
-    alg = get_algorithm(algorithm)
-    best = None
     dataflow = pass_plan.dataflow
     transposed = pass_plan.transposed
     if algorithm == "cannon":
@@ -115,7 +112,8 @@ def _best_for_shape(
         from repro.core.dataflow import Dataflow
 
         dataflow, transposed = Dataflow.OS, False
-    for mesh in candidate_meshes(algorithm, chips):
+
+    def config_for(mesh):
         base = GeMMConfig(
             shape=pass_plan.shape,
             mesh=mesh,
@@ -123,17 +121,16 @@ def _best_for_shape(
             slices=1,
             transposed=transposed,
         )
-        slices = 1
-        if algorithm not in ("collective", "cannon"):
-            slices = tuned_slices(base, hw)
-        cfg = dataclasses.replace(base, slices=slices)
-        if not alg.supports(cfg):
-            continue
-        result = simulate(alg.build_program(cfg, hw), hw)
-        util = result.flop_utilization()
-        if best is None or util > best[0]:
-            best = (util, mesh)
-    return best
+        if algorithm in ("collective", "cannon"):
+            return base
+        return dataclasses.replace(base, slices=tuned_slices(base, hw))
+
+    # The highest utilization wins: minimize its negation.
+    best = best_gemm_mesh(
+        algorithm, chips, hw, config_for,
+        lambda result: -result.flop_utilization(),
+    )
+    return None if best is None else (-best[0], best[1].mesh)
 
 
 def average_speedup(

@@ -16,7 +16,8 @@ boundary:
 A zero-perturbation plan is the identity: it returns the input program
 object unchanged, so unfaulted results stay bit-identical to the plain
 engine. ``experiments/ablation_faults.py`` sweeps straggler severity
-over the paper's algorithms, and ``repro.autotuner.robust_tune``
+over the paper's algorithms, and a ``mode="robust"``
+:class:`repro.service.TuneRequest` (``TuneRequest(...).run()``)
 optimizes the p95 makespan over a seeded ensemble of plans.
 
 Hard failures — a chip or link permanently dying mid-run — are first

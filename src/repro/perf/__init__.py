@@ -26,7 +26,6 @@ from repro.perf.cache import (
 
 _PIPELINE_EXPORTS = (
     "built_program",
-    "degraded_retune",
     "degraded_retune_model",
     "faulted_pass",
     "pass_compute_floor",

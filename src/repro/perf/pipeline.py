@@ -247,18 +247,6 @@ def pass_lower_bound(
 
 
 @memoize("degraded_retune")
-def _degraded_retune(
-    model: "LLMConfig",
-    batch_size: int,
-    mesh: "Mesh2D",
-    dead: "Tuple[int, int]",
-    hw: HardwareParams,
-) -> "DegradedRetune":
-    from repro.recovery.degraded import retune_degraded
-
-    return retune_degraded(model, batch_size, mesh, dead, hw)
-
-
 def degraded_retune_model(
     model: "LLMConfig",
     batch_size: int,
@@ -277,36 +265,9 @@ def degraded_retune_model(
     and an eager ``repro.recovery`` import would cycle back through
     the autotuner.
     """
-    return _degraded_retune(model, batch_size, mesh, dead, hw)
+    from repro.recovery.degraded import retune_degraded
 
-
-def degraded_retune(request, *args, **kwargs) -> "DegradedRetune":
-    """Degraded re-tuning (unified-request entry point).
-
-    Pass a single mode-"degraded" :class:`repro.service.TuneRequest`.
-    The legacy positional form ``degraded_retune(model, batch, mesh,
-    dead, hw)`` still works as a deprecated shim over
-    :func:`degraded_retune_model`.
-    """
-    from repro.service.request import TuneRequest, execute
-
-    if isinstance(request, TuneRequest):
-        if args or kwargs:
-            raise TypeError(
-                "degraded_retune(TuneRequest) takes no further arguments"
-            )
-        return execute(request)
-    import warnings
-
-    warnings.warn(
-        "degraded_retune(model, batch, mesh, dead, hw) with positional "
-        "arguments is deprecated since 1.6.0; build a "
-        "repro.service.TuneRequest(mode='degraded', ...) and call "
-        "request.run()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return degraded_retune_model(request, *args, **kwargs)
+    return retune_degraded(model, batch_size, mesh, dead, hw)
 
 
 def pass_compute_floor(flops: float, chips: int, hw: HardwareParams) -> float:

@@ -23,10 +23,10 @@ the three time scales a real training system operates on:
   clustering, repair queues, chained degradations, and spare-pool
   exhaustion — with a structured JSONL event log.
 
-Surfaces: the memoized ``degraded_retune`` stage in ``repro.perf``,
-the ``ablation-recovery`` and ``ablation-elastic`` experiment grids,
-and the ``meshslice recovery`` / ``meshslice elastic`` CLI
-subcommands.
+Surfaces: ``TuneRequest(mode="degraded", ...).run()`` (served by the
+memoized ``degraded_retune`` stage in ``repro.perf``), the
+``ablation-recovery`` and ``ablation-elastic`` experiment grids, and
+the ``meshslice recovery`` / ``meshslice elastic`` CLI subcommands.
 """
 
 from repro.recovery.checkpoint import CheckpointModel, cluster_mtbf

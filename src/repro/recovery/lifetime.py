@@ -287,35 +287,9 @@ class TunedElasticPlanner:
 
     def _resolve(self, request):
         """Store-backed request resolution (the service's warm path)."""
-        from repro.service import execute, warm_tune
+        from repro.service.warmstart import resolve
 
-        canonical = request.canonical()
-        if self.store is not None:
-            stored = self.store.load(canonical)
-            if stored is not None:
-                return stored
-            if canonical.mode == "tune":
-                neighbor = self.store.nearest_neighbor(canonical)
-                if neighbor is not None:
-                    _metrics().inc("service.warmstart.seeded")
-                    result = warm_tune(
-                        canonical.model,
-                        canonical.batch,
-                        canonical.chips,
-                        canonical.hw,
-                        neighbor_mesh=neighbor.result.mesh,
-                        optimize_dataflow=canonical.optimize_dataflow,
-                        min_mesh_dim=canonical.min_mesh_dim,
-                        max_slices=canonical.max_slices,
-                        abft=canonical.abft,
-                        sdc_rate=canonical.sdc_rate,
-                    )
-                    self.store.save(canonical, result)
-                    return result
-        result = execute(canonical)
-        if self.store is not None:
-            self.store.save(canonical, result)
-        return result
+        return resolve(request.canonical(), self.store)
 
     def _tune(self, chips: int, min_mesh_dim: int) -> Optional[Tuple[Mesh2D, float]]:
         from repro.service import TuneRequest
@@ -330,7 +304,6 @@ class TunedElasticPlanner:
                     chips=chips,
                     min_mesh_dim=min_mesh_dim,
                     max_slices=self.max_slices,
-                    engine=self.engine,
                 )
             )
         except ValueError:
@@ -368,7 +341,6 @@ class TunedElasticPlanner:
                             mesh=mesh,
                             dead=(0, 0),
                             max_slices=self.max_slices,
-                            engine=self.engine,
                         )
                     )
                     mesh = retune.mesh

@@ -6,7 +6,8 @@ The pieces, bottom to top:
   tuner entry points share (:mod:`repro.service.request`);
 * :class:`PlanStore` — on-disk content-addressed plan persistence
   (:mod:`repro.service.store`);
-* :func:`warm_tune` — neighbor-seeded branch-and-bound
+* :func:`warm_tune` — neighbor-seeded branch-and-bound, and
+  ``resolve`` — the store-backed load/search/save path
   (:mod:`repro.service.warmstart`);
 * :class:`TunerService` — the concurrent, deduplicating front end
   (:mod:`repro.service.server`);

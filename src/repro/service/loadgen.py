@@ -4,7 +4,7 @@ Production tuner traffic is heavy-tailed — a handful of (model, chips)
 configurations dominate while a long tail of variants trickles in.
 The load generator models that as a zipf draw over a catalog of
 distinct requests, replays the mix through a :class:`TunerService`,
-and reports served throughput against the cold ``tune()`` baseline
+and reports served throughput against the cold ``execute()`` baseline
 (every cache cleared per query). The serve/replay CLI and the
 ``BENCH_service.json`` benchmark both run through this module, so the
 numbers they report are the same measurement.

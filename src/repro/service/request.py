@@ -1,11 +1,12 @@
 """The unified tuning request schema: one object, every tuner entry.
 
-Production traffic hits the autotuner through three historical entry
-points — :func:`repro.autotuner.tune` (nominal), ``robust_tune``
-(fault-aware), and the memoized ``degraded_retune`` stage — each with
-its own positional signature. :class:`TuneRequest` replaces all three
-call shapes with one keyword-only dataclass that the CLI, the Python
-API, and the serving layer (:mod:`repro.service.server`) all share:
+Production traffic reaches the autotuner in three modes — nominal
+tuning (:func:`repro.autotuner.search.tune_model`), fault-aware tuning
+(``robust_tune_model``), and the memoized ``degraded_retune`` stage —
+each with its own positional engine function. :class:`TuneRequest`
+covers all three with one keyword-only dataclass that the CLI, the
+Python API, and the serving layer (:mod:`repro.service.server`) all
+share; :meth:`TuneRequest.run` is the way to call the tuner:
 
 * :meth:`TuneRequest.canonical` collapses every knob the requested
   mode ignores (the request-level analogue of
@@ -15,11 +16,12 @@ API, and the serving layer (:mod:`repro.service.server`) all share:
   the content address used by the in-memory result cache and the
   on-disk :class:`repro.service.store.PlanStore`;
 * :func:`execute` dispatches a request to the engine function of its
-  mode and returns the mode's result object.
+  mode and returns the mode's result object (``repro.tune`` and
+  ``repro.robust_tune`` are this function).
 
-The legacy positional signatures keep working as deprecation shims —
-``tune(model, batch, chips, hw)`` still runs, with a
-``DeprecationWarning`` pointing here.
+The positional ``tune(model, batch, ...)``, ``robust_tune(...)`` and
+``degraded_retune(...)`` shims, deprecated since 1.6.0, were removed
+in 1.10.0.
 """
 
 from __future__ import annotations

@@ -38,9 +38,9 @@ from concurrent.futures import Future, ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Union
 
 from repro.obs.registry import registry as _metrics
-from repro.service.request import TuneRequest, execute
+from repro.service.request import TuneRequest
 from repro.service.store import PlanStore
-from repro.service.warmstart import warm_tune
+from repro.service.warmstart import resolve
 
 __all__ = ["TunerService"]
 
@@ -156,19 +156,9 @@ class TunerService:
         reg = _metrics()
         started = time.perf_counter()
         try:
-            result = None
-            if self.store is not None:
-                result = self.store.load(canonical)
-            if result is not None:
-                self._count("store_hits")
-                reg.inc("service.store.hits")
-            else:
-                if self.store is not None:
-                    self._count("store_misses")
-                    reg.inc("service.store.misses")
-                result = self._search(canonical)
-                if self.store is not None:
-                    self.store.save(canonical, result)
+            result = resolve(
+                canonical, self.store, self.warm_start, self._lookup
+            )
             with self._lock:
                 self._memory[key] = result
             return result
@@ -188,29 +178,11 @@ class TunerService:
             )
             reg.set_gauge("service.queue.depth", float(depth))
 
-    def _search(self, canonical: TuneRequest) -> object:
-        neighbor = None
-        if (
-            self.warm_start
-            and canonical.mode == "tune"
-            and self.store is not None
-        ):
-            neighbor = self.store.nearest_neighbor(canonical)
-        if neighbor is None:
-            return execute(canonical)
-        _metrics().inc("service.warmstart.seeded")
-        return warm_tune(
-            canonical.model,
-            canonical.batch,
-            canonical.chips,
-            canonical.hw,
-            neighbor_mesh=neighbor.result.mesh,
-            optimize_dataflow=canonical.optimize_dataflow,
-            min_mesh_dim=canonical.min_mesh_dim,
-            max_slices=canonical.max_slices,
-            abft=canonical.abft,
-            sdc_rate=canonical.sdc_rate,
-        )
+    def _lookup(self, hit: bool) -> None:
+        """Count one store lookup for this service and the registry."""
+        tier = "hits" if hit else "misses"
+        self._count(f"store_{tier}")
+        _metrics().inc(f"service.store.{tier}")
 
     # ------------------------------------------------------------- reporting
 

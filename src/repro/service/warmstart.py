@@ -7,47 +7,54 @@ autotuner picks is stable under such sweeps — the best aspect ratio at
 stored neighbor's choice is an excellent *visit order* for the
 branch-and-bound over candidate shapes: evaluate the neighbor-shaped
 candidate first, establish a tight incumbent, then abort every other
-candidate's pass-by-pass accumulation the moment its partial sum
-exceeds the incumbent.
+candidate's pass-by-pass accumulation the moment its partial sum shows
+it cannot win.
 
 The warm search is an *ordering and pruning* optimization only — it
-returns bit-identical ``mesh``, ``passes``, and ``block_seconds`` to
-:func:`repro.autotuner.search.tune_model`:
+runs the same :func:`repro.autotuner.search.mesh_search` kernel as
+:func:`repro.autotuner.search.tune_model` and returns bit-identical
+``mesh``, ``passes``, and ``block_seconds``:
 
-* partial block times accumulate per-pass in the exact plan order
-  ``tune_mesh`` uses, so completed candidates produce the same float
-  sums bit for bit;
-* a candidate is abandoned only when its partial sum *strictly*
-  exceeds the incumbent (analytical pass costs are nonnegative, so the
-  completed total could not have beaten it) or when it ties the
-  incumbent from a later original position (the cold search breaks
-  exact ties toward the earlier ``mesh_shapes`` index, so a later tie
-  could not have won either);
-* the winner is chosen by ``(block_seconds, original index)`` — the
-  same ordering the cold search's strict-inequality update induces.
+* ``tune_mesh`` accumulates partial block times per pass in plan
+  order, so completed candidates produce the same float sums bit for
+  bit;
+* a candidate is abandoned only once its partial sum passes
+  :func:`~repro.autotuner.search.cutoff_for` — strictly above the
+  incumbent, or equal to it from a later original position (analytical
+  pass costs are nonnegative, so the completed total could not have
+  won);
+* the kernel chooses the winner by ``(block_seconds, original index)``
+  whatever the visit order.
 
 ``per_mesh_seconds`` is the one reporting field allowed to differ: it
 covers only the candidates the warm search finished. Pruning work is
 counted under ``service.warmstart.*`` so the serving layer can report
 the measured prune ratio.
+
+:func:`resolve` is the store-backed path shared by the tuning service
+and the lifetime planner: load a stored plan, else search (warm when a
+neighbor exists) and save the result.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.algorithms.base import GeMMConfig
-from repro.autotuner.costmodel import best_slice_count
 from repro.autotuner.dataflow import plan_model
-from repro.autotuner.search import TunedPass, TuningResult
+from repro.autotuner.search import (
+    TuningResult,
+    cutoff_for,
+    mesh_search,
+    tune_mesh,
+)
 from repro.hw.params import HardwareParams
 from repro.mesh.topology import Mesh2D, mesh_shapes
 from repro.models.config import LLMConfig
 from repro.obs.registry import registry as _metrics
+from repro.service.request import TuneRequest, execute
 
-__all__ = ["warm_order", "warm_tune"]
+__all__ = ["resolve", "warm_order", "warm_tune"]
 
 
 def warm_order(
@@ -99,77 +106,83 @@ def warm_tune(
         order = warm_order(candidates, neighbor_mesh)
     else:
         order = list(range(len(candidates)))
+    passes_per_mesh = sum(len(plan.passes) for plan in plans)
 
-    pass_plans = [
-        (plan.layer.name, pass_plan)
-        for plan in plans
-        for pass_plan in plan.passes
-    ]
-    passes_per_mesh = len(pass_plans)
-
-    best: Optional[TuningResult] = None
-    best_index = -1
     per_mesh: Dict[Tuple[int, int], float] = {}
     tunings = 0
     prunes = 0
-    for index in order:
-        mesh = candidates[index]
-        tuned: List[TunedPass] = []
-        total = 0.0
-        aborted = False
-        for position, (layer_name, pass_plan) in enumerate(pass_plans):
-            cfg = GeMMConfig(
-                shape=pass_plan.shape,
-                mesh=mesh,
-                dataflow=pass_plan.dataflow,
-                slices=1,
-                transposed=pass_plan.transposed,
-                abft=abft,
-                sdc_rate=sdc_rate,
-            )
-            slices, estimate = best_slice_count(cfg, hw, max_slices)
-            tunings += 1
-            tuned.append(
-                TunedPass(
-                    layer_name=layer_name,
-                    plan=pass_plan,
-                    slices=slices,
-                    estimate=estimate,
-                    abft=abft,
-                    sdc_rate=sdc_rate,
-                )
-            )
-            total += estimate.total
-            if best is not None and (
-                total > best.block_seconds
-                or (total >= best.block_seconds and index > best_index)
-            ):
-                # Pass costs are nonnegative: this candidate can no
-                # longer strictly beat the incumbent, and on an exact
-                # tie the cold search keeps the earlier index anyway.
-                prunes += passes_per_mesh - (position + 1)
-                aborted = True
-                break
-        if aborted:
-            continue
-        per_mesh[mesh.shape] = total
-        if (
-            best is None
-            or total < best.block_seconds
-            or (total == best.block_seconds and index < best_index)
-        ):
-            best = TuningResult(
-                mesh=mesh,
-                passes=tuple(tuned),
-                block_seconds=total,
-                per_mesh_seconds={},
-            )
-            best_index = index
 
+    def evaluate(index: int, incumbent):
+        nonlocal tunings, prunes
+        mesh = candidates[index]
+        cutoff = None if incumbent is None else cutoff_for(incumbent, index)
+        tuned, total = tune_mesh(
+            plans, mesh, hw, max_slices,
+            abft=abft, sdc_rate=sdc_rate, cutoff=cutoff,
+        )
+        tunings += len(tuned)
+        if cutoff is not None and total > cutoff:
+            prunes += passes_per_mesh - len(tuned)
+            return None
+        per_mesh[mesh.shape] = total
+        return total, tuned
+
+    (seconds, index), tuned = mesh_search(order, evaluate)
     reg = _metrics()
     reg.inc("tuner.runs", labels={"model": model.name})
     reg.inc("tuner.meshes_searched", float(len(candidates)))
     reg.inc("service.warmstart.runs")
     reg.inc("service.warmstart.pass_tunings", float(tunings))
     reg.inc("service.warmstart.pass_prunes", float(prunes))
-    return dataclasses.replace(best, per_mesh_seconds=per_mesh)
+    return TuningResult(
+        mesh=candidates[index],
+        passes=tuple(tuned),
+        block_seconds=seconds,
+        per_mesh_seconds=per_mesh,
+    )
+
+
+def resolve(
+    canonical: TuneRequest,
+    store,
+    warm_start: bool = True,
+    on_lookup: Optional[Callable[[bool], None]] = None,
+):
+    """Answer a canonical request from ``store``, else search and save.
+
+    A stored plan is returned as loaded. On a miss, a ``mode="tune"``
+    request with a stored nearest neighbor runs :func:`warm_tune`
+    seeded from the neighbor's mesh (unless ``warm_start`` is off);
+    anything else runs cold through
+    :func:`~repro.service.request.execute`. The result is saved back.
+    ``on_lookup(hit)`` is told the outcome of the store lookup, before
+    any search. With ``store=None`` this is a plain ``execute``.
+    """
+    neighbor = None
+    if store is not None:
+        stored = store.load(canonical)
+        if on_lookup is not None:
+            on_lookup(stored is not None)
+        if stored is not None:
+            return stored
+        if warm_start and canonical.mode == "tune":
+            neighbor = store.nearest_neighbor(canonical)
+    if neighbor is None:
+        result = execute(canonical)
+    else:
+        _metrics().inc("service.warmstart.seeded")
+        result = warm_tune(
+            canonical.model,
+            canonical.batch,
+            canonical.chips,
+            canonical.hw,
+            neighbor_mesh=neighbor.result.mesh,
+            optimize_dataflow=canonical.optimize_dataflow,
+            min_mesh_dim=canonical.min_mesh_dim,
+            max_slices=canonical.max_slices,
+            abft=canonical.abft,
+            sdc_rate=canonical.sdc_rate,
+        )
+    if store is not None:
+        store.save(canonical, result)
+    return result

@@ -358,10 +358,10 @@ class TestTunerIntegration:
         assert protected == meshslice_total > nominal
 
     def test_tune_passes_knobs_through(self):
-        from repro.autotuner import tune
+        from repro.autotuner import tune_model
         from repro.models import GPT3_175B
 
-        result = tune(
+        result = tune_model(
             GPT3_175B, batch_size=8, chips=16, hw=TPUV4,
             abft=True, sdc_rate=1e-3,
         )

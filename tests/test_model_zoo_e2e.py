@@ -8,7 +8,7 @@ targets.
 
 import pytest
 
-from repro.autotuner import plan_model, tune
+from repro.autotuner import plan_model, tune_model
 from repro.experiments import best_block_run, weak_scaling_batch
 from repro.experiments.common import pass_config, utilization_map
 from repro.hw import TPUV4
@@ -43,7 +43,7 @@ class TestZoo:
 class TestZooEndToEnd:
     @pytest.mark.parametrize("model", ZOO, ids=lambda m: m.name)
     def test_autotuner_runs(self, model):
-        result = tune(model, batch_size=8, chips=16, hw=TPUV4)
+        result = tune_model(model, batch_size=8, chips=16, hw=TPUV4)
         assert result.mesh.size == 16
         assert result.block_seconds > 0
         assert len(result.passes) == 12

@@ -6,7 +6,7 @@ import threading
 
 import pytest
 
-from repro.autotuner.search import robust_tune_model, tune_model
+from repro.autotuner.search import tune_model
 from repro.faults import FaultSpec
 from repro.hw import TPUV4, get_preset
 from repro.mesh import Mesh2D
@@ -122,52 +122,6 @@ class TestTuneRequest:
         assert served.mesh == direct.mesh
         assert served.block_seconds == direct.block_seconds
         assert served.passes == direct.passes
-
-
-class TestDeprecationShims:
-    def test_tune_positional_warns_and_matches(self):
-        from repro.autotuner import tune
-
-        with pytest.deprecated_call(match="tune"):
-            legacy = tune(TINY, 4, 16, TPUV4)
-        assert legacy == tune_model(TINY, 4, 16, TPUV4)
-
-    def test_tune_request_form_does_not_warn(self):
-        import warnings
-
-        from repro.autotuner import tune
-
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            result = tune(tiny_request())
-        assert result.mesh == tune_model(TINY, 4, 16, TPUV4).mesh
-
-    def test_robust_tune_positional_warns(self):
-        from repro.autotuner import robust_tune
-
-        spec = FaultSpec(stragglers=1, seed=1)
-        with pytest.deprecated_call(match="robust_tune"):
-            legacy = robust_tune(TINY, 4, 16, TPUV4, spec, ensemble=2)
-        direct = robust_tune_model(TINY, 4, 16, TPUV4, spec, ensemble=2)
-        assert legacy.mesh == direct.mesh
-        assert legacy.robust_seconds == direct.robust_seconds
-
-    def test_degraded_retune_positional_warns(self):
-        from repro.perf.pipeline import (
-            degraded_retune,
-            degraded_retune_model,
-        )
-
-        with pytest.deprecated_call(match="degraded_retune"):
-            legacy = degraded_retune(TINY, 4, Mesh2D(4, 4), (0, 0), TPUV4)
-        direct = degraded_retune_model(TINY, 4, Mesh2D(4, 4), (0, 0), TPUV4)
-        assert legacy == direct
-
-    def test_request_form_rejects_extra_arguments(self):
-        from repro.autotuner import tune
-
-        with pytest.raises(TypeError, match="no further"):
-            tune(tiny_request(), 4)
 
 
 class TestPlanStore:
