@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.cli import run_experiment
 from repro.experiments import fig04_timelines
 
 
@@ -15,4 +16,4 @@ def test_fig04_timelines(benchmark, show):
     assert order.index("collective") < order.index("summa")
 
     benchmark.extra_info["order"] = order
-    show("Figure 4: timelines", fig04_timelines.main())
+    show("Figure 4: timelines", run_experiment("fig4"))

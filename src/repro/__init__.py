@@ -58,7 +58,7 @@ from repro.hw import (
 )
 from repro.mesh import Mesh2D, MeshExecutor, Ring1D, mesh_shapes
 
-__version__ = "1.10.0"
+__version__ = "1.11.0"
 
 #: Lazily-loaded stable API (PEP 562): name -> (module, attribute).
 #: Importing these eagerly would pull the whole timing plane (and the

@@ -1,8 +1,10 @@
 """The campaign registry: every experiment's published spec.
 
-Collected lazily from ``repro.experiments.EXPERIMENTS`` — each
+Collected lazily from ``repro.experiments.EXPERIMENTS`` — every
 experiment module publishes a module-level ``CAMPAIGN``
-:class:`~repro.campaign.spec.CampaignSpec`. The import happens inside
+:class:`~repro.campaign.spec.CampaignSpec`, the one definition of its
+grid that both ``meshslice run`` and the campaign runner map over
+(see :func:`repro.experiments.common.spec_rows`). The import happens inside
 the function, not at module import, so ``repro.campaign`` never drags
 the whole experiment suite (and its numpy workloads) into processes
 that only touch the store.
@@ -21,16 +23,11 @@ def campaign_specs() -> Dict[str, CampaignSpec]:
     """Every experiment's spec, keyed by experiment name."""
     from repro.experiments import EXPERIMENTS
 
-    specs: Dict[str, CampaignSpec] = {}
-    for name, module in EXPERIMENTS.items():
-        spec = getattr(module, "CAMPAIGN", None)
-        if isinstance(spec, CampaignSpec):
-            specs[name] = spec
-    return specs
+    return {name: module.CAMPAIGN for name, module in EXPERIMENTS.items()}
 
 
 def campaign_names() -> list:
-    """Sorted names of every experiment that publishes a spec."""
+    """Sorted names of every experiment."""
     return sorted(campaign_specs())
 
 

@@ -1,12 +1,16 @@
-"""Campaign specs: how an experiment exposes itself to the runner.
+"""Campaign specs: the one definition of an experiment's grid.
 
-A :class:`CampaignSpec` is the contract an experiment module publishes
-(as a module-level ``CAMPAIGN`` constant) so the campaign layer can
-run it point-by-point instead of monolithically:
+A :class:`CampaignSpec` is the contract every experiment module
+publishes (as a module-level ``CAMPAIGN`` constant). Both entry points
+derive from it: ``meshslice run`` maps ``point`` over ``points()`` in
+process (:func:`repro.experiments.common.spec_rows`), and the campaign
+runner maps the same function over the same grid point by point into a
+durable store. The two render through the same ``render``, so a live
+run and a stored report cannot drift.
 
-* ``points()`` builds the default grid — the same coordinates the
-  module's ``run()`` iterates, as encodable values (see
-  :mod:`repro.campaign.codec`);
+* ``points(**params)`` builds the grid — with no arguments, the
+  paper's default; its keywords are the module ``run()``'s — as
+  encodable values (see :mod:`repro.campaign.codec`);
 * ``point`` is the **module-level, picklable** function mapping one
   coordinate to its result row(s) — the unit of durability, retry,
   and process-pool distribution;
@@ -35,7 +39,8 @@ class CampaignSpec:
         name: Campaign name; by convention the experiment's registry
             name (``"fig9"``, ``"ablation-sdc"``, ...). Used as the
             store file name and hashed into every point key.
-        points: Zero-argument builder of the default grid.
+        points: Grid builder; called with no arguments it returns the
+            default grid, and its keywords narrow or reshape it.
         point: Picklable function of one grid coordinate returning
             either one row or (with ``flatten=True``) a list of rows.
         render: Rows-to-report function reproducing the experiment's
@@ -45,7 +50,7 @@ class CampaignSpec:
     """
 
     name: str
-    points: Callable[[], Sequence[Any]]
+    points: Callable[..., Sequence[Any]]
     point: Callable[[Any], Any]
     render: Callable[[List[Any]], str]
     flatten: bool = False

@@ -38,6 +38,7 @@ import time
 from typing import List, Optional
 
 from repro.experiments import EXPERIMENTS
+from repro.experiments.common import spec_rows
 
 #: The real subcommands; anything else in command position is treated
 #: as an experiment name and routed through ``run`` (legacy alias).
@@ -488,13 +489,19 @@ def normalize_argv(argv: List[str]) -> List[str]:
 
 
 def run_experiment(name: str) -> str:
-    """Run one experiment module's main() and return its report."""
+    """Run one experiment's default grid and return its report.
+
+    The rows come from the experiment's campaign spec, exactly as
+    ``meshslice campaign run`` stores them, and render through the same
+    function as ``meshslice campaign report``.
+    """
     try:
         module = EXPERIMENTS[name]
     except KeyError:
         known = ", ".join(sorted(EXPERIMENTS))
         raise KeyError(f"unknown experiment {name!r}; known: {known}")
-    return module.main()
+    spec = module.CAMPAIGN
+    return spec.render(spec_rows(spec))
 
 
 def _cmd_list() -> int:
@@ -735,7 +742,7 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     from repro.experiments.common import GridPointError, render_table
 
     try:
-        row = _point(
+        rows = _point(
             (args.chips, model, hw, args.chip_mtbf_hours,
              args.repair_minutes, args.checkpoint_seconds,
              args.restart_seconds)
@@ -743,12 +750,13 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
     except (GridPointError, ValueError) as exc:
         print(exc, file=sys.stderr)
         return 2
-    if row is None:
+    if not rows:
         print(
             f"meshslice recovery: no tunable mesh for {args.chips} chips",
             file=sys.stderr,
         )
         return 2
+    (row,) = rows
     print(
         f"{model.name}: {args.chips} chips ({hw.name}), batch {batch}\n"
         f"cluster MTBF {row.cluster_mtbf_hours:.1f} h "
@@ -1236,7 +1244,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     if bad:
         return bad
     if args.jobs is not None:
-        # The experiment main()s read the worker count from the
+        # The experiment grids read the worker count from the
         # environment, so one flag reaches every grid they run.
         import os
 

@@ -1,7 +1,12 @@
 """Reproductions of the paper's evaluation (Section 5 + Section 7).
 
-One module per figure/table; each exposes ``run()`` returning typed
-rows and ``main()`` rendering a text table with paper reference points.
+One module per figure/table. Each publishes a ``CAMPAIGN``
+:class:`~repro.campaign.spec.CampaignSpec` — its grid (``points``), its
+picklable point function, and ``render``, the text table with paper
+reference points — and exposes ``run()`` returning typed rows. The
+grid modules' ``run(jobs=None, **params)`` is :func:`spec_rows` over
+that spec; ``meshslice run`` and ``meshslice campaign report`` both
+render through ``CAMPAIGN.render``.
 """
 
 from repro.experiments import (
@@ -38,11 +43,12 @@ from repro.experiments.common import (
     pass_config,
     render_table,
     run_block,
+    spec_rows,
     tuned_slices,
     weak_scaling_batch,
 )
 
-#: Experiment registry for the CLI: name -> module (must expose main()).
+#: Experiment registry for the CLI: name -> module (must publish CAMPAIGN).
 EXPERIMENTS = {
     "fig4": fig04_timelines,
     "fig9": fig09_weak_scaling,
@@ -79,6 +85,7 @@ __all__ = [
     "pass_config",
     "render_table",
     "run_block",
+    "spec_rows",
     "tuned_slices",
     "weak_scaling_batch",
 ]

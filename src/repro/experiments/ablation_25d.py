@@ -188,22 +188,14 @@ def render(rows: Sequence) -> str:
     return out
 
 
-def main() -> str:
-    return render(_campaign_point("traffic") + _campaign_point("timed"))
-
-
-def _campaign_points() -> list:
+def points() -> list:
     return ["traffic", "timed"]
 
 
 CAMPAIGN = CampaignSpec(
     name="ablation-2.5d",
-    points=_campaign_points,
+    points=points,
     point=_campaign_point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

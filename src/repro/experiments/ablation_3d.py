@@ -161,22 +161,14 @@ def render(rows: List[ThreeDRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> list:
+def points() -> list:
     return ["rows"]
 
 
 CAMPAIGN = CampaignSpec(
     name="ablation-3d",
-    points=_campaign_points,
+    points=points,
     point=_campaign_point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

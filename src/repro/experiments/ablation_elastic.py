@@ -23,8 +23,8 @@ from typing import List, Optional, Sequence, Tuple
 
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
-    grid_map,
     render_table,
+    spec_rows,
     weak_scaling_batch,
 )
 from repro.hw.params import HardwareParams
@@ -139,8 +139,8 @@ def _point(
         str, float, int, LLMConfig, HardwareParams, float, float, float,
         float, int,
     ],
-) -> Optional[ElasticRow]:
-    """One grid cell, shaped for :func:`grid_map` (picklable)."""
+) -> List[ElasticRow]:
+    """One grid cell's rows: ``[]`` when no mesh fits (picklable)."""
     (policy, chip_mtbf_hours, spares, model, hw, repair_minutes,
      checkpoint_seconds, restart_seconds, duration_days, seed) = args
     mesh = Mesh2D(*MESH_SHAPE)
@@ -151,7 +151,7 @@ def _point(
     try:
         full_mesh, _ = planner.full()
     except ValueError:
-        return None
+        return []
     reliability = ClusterReliability(
         chip_mtbf=chip_mtbf_hours * 3600.0,
         chips=full_mesh.size,
@@ -170,7 +170,7 @@ def _point(
         checkpoint_seconds,
         restart_seconds,
     )
-    return ElasticRow(
+    return [ElasticRow(
         policy=policy,
         chip_mtbf_hours=chip_mtbf_hours,
         spares=spares,
@@ -184,34 +184,10 @@ def _point(
         spares_consumed=result.spares_consumed,
         exhaustions=result.exhaustions,
         min_running=result.min_running,
-    )
+    )]
 
 
-def _grid_points(
-    model: LLMConfig,
-    hw: HardwareParams,
-    mtbf_hours: Sequence[float],
-    spare_counts: Sequence[int],
-    repair_minutes: float,
-    checkpoint_seconds: float,
-    restart_seconds: float,
-    duration_days: float,
-    seed: int,
-) -> List[tuple]:
-    points = []
-    for mtbf in mtbf_hours:
-        for policy in POLICIES:
-            pools = spare_counts if policy == "replace" else (0,)
-            for spares in pools:
-                points.append(
-                    (policy, mtbf, spares, model, hw, repair_minutes,
-                     checkpoint_seconds, restart_seconds, duration_days,
-                     seed)
-                )
-    return points
-
-
-def run(
+def points(
     model: LLMConfig = GPT3_175B,
     hw: HardwareParams = TPUV4,
     mtbf_hours: Sequence[float] = CHIP_MTBF_HOURS,
@@ -221,15 +197,27 @@ def run(
     restart_seconds: float = DEFAULT_RESTART_SECONDS,
     duration_days: float = DEFAULT_DURATION_DAYS,
     seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> List[ElasticRow]:
-    """Simulated lifetime goodput across the MTBF x spares x policy grid."""
-    points = _grid_points(
-        model, hw, mtbf_hours, spare_counts, repair_minutes,
-        checkpoint_seconds, restart_seconds, duration_days, seed,
-    )
-    rows = grid_map(_point, points, jobs=jobs)
-    return [row for row in rows if row is not None]
+) -> List[tuple]:
+    """The MTBF x policy x spare-pool grid (pools sweep on replace only)."""
+    grid = []
+    for mtbf in mtbf_hours:
+        for policy in POLICIES:
+            pools = spare_counts if policy == "replace" else (0,)
+            for spares in pools:
+                grid.append(
+                    (policy, mtbf, spares, model, hw, repair_minutes,
+                     checkpoint_seconds, restart_seconds, duration_days,
+                     seed)
+                )
+    return grid
+
+
+def run(jobs: Optional[int] = None, **params) -> List[ElasticRow]:
+    """Simulated lifetime goodput across the MTBF x spares x policy grid.
+
+    ``params`` go to :func:`points`.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def render(rows: Sequence[ElasticRow]) -> str:
@@ -266,32 +254,10 @@ def render(rows: Sequence[ElasticRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_point(args) -> List[ElasticRow]:
-    """One durable campaign point; unsupported points store as []."""
-    row = _point(args)
-    return [] if row is None else [row]
-
-
-def _campaign_points() -> List[tuple]:
-    return _grid_points(
-        GPT3_175B, TPUV4, CHIP_MTBF_HOURS, SPARE_COUNTS,
-        DEFAULT_REPAIR_MINUTES, DEFAULT_CHECKPOINT_SECONDS,
-        DEFAULT_RESTART_SECONDS, DEFAULT_DURATION_DAYS, DEFAULT_SEED,
-    )
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-elastic",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=_point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

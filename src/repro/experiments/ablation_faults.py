@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Tuple
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
     best_block_run,
-    grid_map,
     render_table,
+    spec_rows,
     weak_scaling_batch,
 )
 from repro.faults import FaultSpec
@@ -86,13 +86,13 @@ def _comm_share(results: Sequence) -> float:
 
 def _point(
     args: Tuple[str, float, int, LLMConfig, int, int, HardwareParams, int, int],
-) -> Optional[FaultRow]:
-    """One grid point, shaped for :func:`grid_map` (must be picklable)."""
+) -> List[FaultRow]:
+    """One grid point's rows: ``[]`` when no mesh fits (picklable)."""
     (algorithm, severity, stragglers, model, batch, chips, hw,
      ensemble, seed) = args
     clean = best_block_run(algorithm, model, batch, chips, hw)
     if clean is None:
-        return None
+        return []
     spec = FaultSpec(
         stragglers=stragglers,
         straggler_slowdown=severity,
@@ -107,7 +107,7 @@ def _point(
         ]
         faulted_seconds += sum(r.makespan for r in results)
         faulted_share += _comm_share(results)
-    return FaultRow(
+    return [FaultRow(
         algorithm=algorithm,
         severity=severity,
         stragglers=stragglers,
@@ -116,10 +116,10 @@ def _point(
         faulted_ms=faulted_seconds / len(plans) * 1e3,
         comm_share_clean=_comm_share(clean.results),
         comm_share_faulted=faulted_share / len(plans),
-    )
+    )]
 
 
-def run(
+def points(
     model: LLMConfig = GPT3_175B,
     chips: int = DEFAULT_CHIPS,
     hw: HardwareParams = TPUV4,
@@ -128,24 +128,29 @@ def run(
     counts: Sequence[int] = COUNTS,
     ensemble: int = DEFAULT_ENSEMBLE,
     seed: int = DEFAULT_SEED,
-    jobs: Optional[int] = None,
-) -> List[FaultRow]:
-    """Sweep straggler severity x count for every algorithm family.
+) -> List[tuple]:
+    """The algorithm x severity x straggler-count grid.
 
     Each row averages the faulted block time over a seeded ensemble of
     ``ensemble`` fault plans; every grid point reuses the same base
     ``seed``, so the same stragglers hit every algorithm.
     """
     batch = weak_scaling_batch(chips)
-    points = [
+    return [
         (algorithm, severity, stragglers, model, batch, chips, hw,
          ensemble, seed)
         for algorithm in algorithms
         for severity in severities
         for stragglers in counts
     ]
-    rows = grid_map(_point, points, jobs=jobs)
-    return [row for row in rows if row is not None]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[FaultRow]:
+    """Sweep straggler severity x count for every algorithm family.
+
+    ``params`` go to :func:`points`.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def render(rows: Sequence[FaultRow]) -> str:
@@ -176,35 +181,10 @@ def render(rows: Sequence[FaultRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_point(args) -> List[FaultRow]:
-    """One durable campaign point; unsupported points store as []."""
-    row = _point(args)
-    return [] if row is None else [row]
-
-
-def _campaign_points() -> List[tuple]:
-    batch = weak_scaling_batch(DEFAULT_CHIPS)
-    return [
-        (algorithm, severity, stragglers, GPT3_175B, batch, DEFAULT_CHIPS,
-         TPUV4, DEFAULT_ENSEMBLE, DEFAULT_SEED)
-        for algorithm in ALGORITHMS
-        for severity in SEVERITIES
-        for stragglers in COUNTS
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-faults",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=_point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -23,7 +23,12 @@ from typing import List, Optional, Sequence, Tuple
 from repro.algorithms import GeMMConfig
 from repro.campaign.spec import CampaignSpec
 from repro.core.dataflow import Dataflow
-from repro.experiments.common import best_gemm_mesh, render_table, tuned_slices
+from repro.experiments.common import (
+    best_gemm_mesh,
+    render_table,
+    spec_rows,
+    tuned_slices,
+)
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
 from repro.models.config import LLMConfig
@@ -79,23 +84,27 @@ def _phase_rows(point) -> List[InferenceRow]:
     return rows
 
 
-def run(
+def points(
     model: LLMConfig = GPT3_175B,
     chips: int = 64,
     batch: int = 32,
     prompt_len: int = 1024,
     algorithms: Sequence[str] = ("collective", "wang", "meshslice"),
     hw: HardwareParams = TPUV4,
-) -> List[InferenceRow]:
-    """Per-phase, per-layer inference latency rows."""
-    rows: List[InferenceRow] = []
-    for phase in ("prefill", "decode"):
-        rows.extend(
-            _phase_rows(
-                (model, chips, batch, prompt_len, phase, tuple(algorithms), hw)
-            )
-        )
-    return rows
+) -> List[tuple]:
+    """The serving grid: one point per phase (prefill, then decode)."""
+    return [
+        (model, chips, batch, prompt_len, phase, tuple(algorithms), hw)
+        for phase in ("prefill", "decode")
+    ]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[InferenceRow]:
+    """Per-phase, per-layer inference latency rows.
+
+    ``params`` go to :func:`points`.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def _best_latency(
@@ -144,26 +153,10 @@ def render(rows: Sequence[InferenceRow]) -> str:
     )
 
 
-def main(chips: int = 64) -> str:
-    return render(run(chips=chips))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (GPT3_175B, 64, 32, 1024, phase,
-         ("collective", "wang", "meshslice"), TPUV4)
-        for phase in ("prefill", "decode")
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-inference",
-    points=_campaign_points,
+    points=points,
     point=_phase_rows,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -137,24 +137,14 @@ def render(rows: Sequence) -> str:
     )
 
 
-def main(chips: int = 64) -> str:
-    rows = run(chips=chips)
-    est, sim = cost_model_agreement(chips=chips)
-    return render([*rows, AgreementRow(estimated=est, simulated=sim)])
-
-
-def _campaign_points() -> list:
+def points() -> list:
     return ["collective", "wang", "meshslice", "agreement"]
 
 
 CAMPAIGN = CampaignSpec(
     name="ablation-logical-mesh",
-    points=_campaign_points,
+    points=points,
     point=_campaign_point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -34,7 +34,7 @@ from repro.algorithms import get_algorithm
 from repro.campaign.spec import CampaignSpec
 from repro.algorithms.base import GeMMConfig
 from repro.core.gemm import GeMMShape
-from repro.experiments.common import grid_map, render_table
+from repro.experiments.common import render_table, spec_rows
 from repro.faults import SDCPlan, sdc_injection
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
@@ -113,8 +113,8 @@ def _timed_overhead_pct(
 
 def _point(
     args: Tuple[str, float, Tuple[int, int], int, int, int, HardwareParams],
-) -> Optional[SDCRow]:
-    """One grid point, shaped for :func:`grid_map` (must be picklable)."""
+) -> List[SDCRow]:
+    """One grid point's rows, as a one-row list (must be picklable)."""
     algorithm, rate, mesh_shape, trials, seed, slices, hw = args
     mesh = Mesh2D(*mesh_shape)
     if algorithm == "collective":
@@ -155,7 +155,7 @@ def _point(
         recomputed += report.recomputed
         if not np.array_equal(guarded, truth):
             protected_escapes += 1
-    return SDCRow(
+    return [SDCRow(
         rate=rate,
         mesh=mesh.shape,
         trials=trials,
@@ -165,10 +165,10 @@ def _point(
         corrected=corrected,
         recomputed=recomputed,
         overhead_pct=_timed_overhead_pct(algorithm, mesh, rate, hw, slices),
-    )
+    )]
 
 
-def run(
+def points(
     rates: Sequence[float] = RATES,
     meshes: Sequence[Tuple[int, int]] = MESHES,
     trials: int = DEFAULT_TRIALS,
@@ -176,16 +176,21 @@ def run(
     slices: int = DEFAULT_SLICES,
     algorithm: str = "meshslice",
     hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[SDCRow]:
-    """Sweep SDC rate x mesh size with and without ABFT protection."""
-    points = [
+) -> List[tuple]:
+    """The SDC rate x mesh size grid."""
+    return [
         (algorithm, rate, mesh, trials, seed, slices, hw)
         for rate in rates
         for mesh in meshes
     ]
-    rows = grid_map(_point, points, jobs=jobs)
-    return [row for row in rows if row is not None]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[SDCRow]:
+    """Sweep SDC rate x mesh size with and without ABFT protection.
+
+    ``params`` go to :func:`points`.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def render(rows: Sequence[SDCRow]) -> str:
@@ -214,33 +219,10 @@ def render(rows: Sequence[SDCRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_point(args) -> List[SDCRow]:
-    """One durable campaign point; unsupported points store as []."""
-    row = _point(args)
-    return [] if row is None else [row]
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        ("meshslice", rate, mesh, DEFAULT_TRIALS, DEFAULT_SEED,
-         DEFAULT_SLICES, TPUV4)
-        for rate in RATES
-        for mesh in MESHES
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-sdc",
-    points=_campaign_points,
-    point=_campaign_point,
+    points=points,
+    point=_point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -126,27 +126,19 @@ def render(rows: Sequence[UnrollingRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
 def _campaign_point(algorithm: str) -> List[UnrollingRow]:
     """One baseline algorithm's fine-vs-unrolled pair (one point)."""
     return run(algorithms=(algorithm,))
 
 
-def _campaign_points() -> List[str]:
+def points() -> List[str]:
     return ["summa", "wang"]
 
 
 CAMPAIGN = CampaignSpec(
     name="ablation-unrolling",
-    points=_campaign_points,
+    points=points,
     point=_campaign_point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -28,8 +28,8 @@ from repro.core.dataflow import Dataflow
 from repro.core.gemm import GeMMShape
 from repro.experiments.common import (
     best_gemm_mesh,
-    grid_map,
     render_table,
+    spec_rows,
     tuned_slices,
 )
 from repro.hw.params import HardwareParams
@@ -102,17 +102,22 @@ def _point_rows(point) -> List[ZooRow]:
     return rows
 
 
-def run(
+def points(
     points: Sequence[Tuple[str, Tuple[int, int, int], int]] = ZOO_POINTS,
     algorithms: Optional[Sequence[str]] = None,
     hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[ZooRow]:
-    """Produce every zoo-comparison row (grid points run in parallel)."""
+) -> List[tuple]:
+    """The zoo grid: one point per (GeMM, chips) entry of ``points``."""
     names = tuple(algorithms) if algorithms is not None else algorithm_names()
-    grid = [(label, shape, chips, names, hw) for label, shape, chips in points]
-    return [row for rows in grid_map(_point_rows, grid, jobs=jobs)
-            for row in rows]
+    return [(label, shape, chips, names, hw) for label, shape, chips in points]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[ZooRow]:
+    """Produce every zoo-comparison row (grid points run in parallel).
+
+    ``params`` go to :func:`points`.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def render(rows: Sequence[ZooRow]) -> str:
@@ -140,25 +145,10 @@ def render(rows: Sequence[ZooRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (label, shape, chips, algorithm_names(), TPUV4)
-        for label, shape, chips in ZOO_POINTS
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="ablation-zoo",
-    points=_campaign_points,
+    points=points,
     point=_point_rows,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

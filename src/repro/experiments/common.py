@@ -34,7 +34,8 @@ search:
   never win — not even tie — are pruned.
 
 Independent grid points can additionally run in worker processes via
-:func:`grid_map` (the ``--jobs`` CLI flag / ``REPRO_JOBS`` env var).
+:func:`grid_map` (the ``--jobs`` CLI flag / ``REPRO_JOBS`` env var);
+:func:`spec_rows` maps an experiment's campaign spec over its grid.
 """
 
 from __future__ import annotations
@@ -610,6 +611,21 @@ def grid_map(
         # Undelivered points rerun serially; delivered ones are kept
         # (their metrics are already merged, their progress fired).
         return _serial_from(len(results))
+    return results
+
+
+def spec_rows(spec, jobs: Optional[int] = None, **params) -> List:
+    """An experiment's rows, live: ``spec.point`` over its grid.
+
+    ``spec`` is the module's :class:`~repro.campaign.spec.CampaignSpec`;
+    ``params`` reach ``spec.points`` (the module's grid keywords), and
+    per-point row lists concatenate when ``spec.flatten``. The campaign
+    runner maps the same point function over the same default grid, so
+    a live run and a stored report render identical rows.
+    """
+    results = grid_map(spec.point, spec.points(**params), jobs=jobs)
+    if spec.flatten:
+        return [row for rows in results for row in rows]
     return results
 
 

@@ -112,22 +112,14 @@ def render(rows: Sequence[CampaignTimelineRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render([_campaign_row(r) for r in run(hw=hw)])
-
-
-def _campaign_points() -> List[str]:
+def points() -> List[str]:
     return list(ALGORITHMS)
 
 
 CAMPAIGN = CampaignSpec(
     name="fig4",
-    points=_campaign_points,
+    points=points,
     point=_campaign_point,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -24,8 +24,8 @@ from repro.experiments.common import (
     CLUSTER_SIZES,
     best_block_run,
     end_to_end_step_seconds,
-    grid_map,
     render_table,
+    spec_rows,
     weak_scaling_batch,
 )
 from repro.hw.params import HardwareParams
@@ -84,25 +84,27 @@ def _point_rows(point) -> List[WeakScalingRow]:
     return rows
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     sizes: Sequence[int] = CLUSTER_SIZES,
     algorithms: Sequence[str] = ALL_ALGORITHMS,
     hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[WeakScalingRow]:
-    """Produce every Figure 9 data point.
-
-    The (model, cluster size) grid points are independent and run in
-    worker processes when ``jobs`` (or ``REPRO_JOBS``) allows.
-    """
-    points = [
+) -> List[tuple]:
+    """The Figure 9 grid: one point per (model, cluster size)."""
+    return [
         (model, chips, tuple(algorithms), hw)
         for model in models
         for chips in sizes
     ]
-    return [row for rows in grid_map(_point_rows, points, jobs=jobs)
-            for row in rows]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[WeakScalingRow]:
+    """Produce every Figure 9 data point (``params`` go to :func:`points`).
+
+    The (model, cluster size) grid points are independent and run in
+    worker processes when ``jobs`` (or ``REPRO_JOBS``) allows.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def speedup_over(
@@ -154,27 +156,10 @@ def render(rows: Sequence[WeakScalingRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4, sizes: Sequence[int] = CLUSTER_SIZES) -> str:
-    """Render the Figure 9 table plus headline speedups."""
-    return render(run(sizes=sizes, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, chips, tuple(ALL_ALGORITHMS), TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-        for chips in CLUSTER_SIZES
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig9",
-    points=_campaign_points,
+    points=points,
     point=_point_rows,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

@@ -22,6 +22,7 @@ from repro.experiments.common import (
     ALL_ALGORITHMS,
     best_block_run,
     render_table,
+    spec_rows,
     weak_scaling_batch,
 )
 from repro.hw.params import HardwareParams
@@ -80,17 +81,19 @@ def _point_rows(point) -> List[BreakdownRow]:
     return rows
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     chips: int = 256,
     algorithms: Sequence[str] = ALL_ALGORITHMS,
     hw: HardwareParams = TPUV4,
-) -> List[BreakdownRow]:
-    """Produce the Figure 10 bars."""
-    rows: List[BreakdownRow] = []
-    for model in models:
-        rows.extend(_point_rows((model, chips, tuple(algorithms), hw)))
-    return rows
+) -> List[tuple]:
+    """The Figure 10 grid: one point per model."""
+    return [(model, chips, tuple(algorithms), hw) for model in models]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[BreakdownRow]:
+    """Produce the Figure 10 bars (``params`` go to :func:`points`)."""
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def render(rows: Sequence[BreakdownRow]) -> str:
@@ -100,25 +103,10 @@ def render(rows: Sequence[BreakdownRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4, chips: int = 256) -> str:
-    return render(run(chips=chips, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, 256, tuple(ALL_ALGORITHMS), TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig10",
-    points=_campaign_points,
+    points=points,
     point=_point_rows,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

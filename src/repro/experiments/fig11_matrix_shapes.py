@@ -18,8 +18,8 @@ from repro.autotuner.dataflow import PassPlan, plan_model
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
     best_gemm_mesh,
-    grid_map,
     render_table,
+    spec_rows,
     tuned_slices,
 )
 from repro.hw.params import HardwareParams
@@ -78,28 +78,31 @@ def _point_rows(point) -> List[ShapeRow]:
     return rows
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     chips: int = 256,
     batch_size: int = 128,
     algorithms: Sequence[str] = TWO_D_ALGORITHMS,
     hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[ShapeRow]:
-    """Produce every Figure 11 bar.
+) -> List[tuple]:
+    """The Figure 11 grid: one point per (model, distinct GeMM shape)."""
+    grid = []
+    for model in models:
+        tokens = model.tokens(batch_size)
+        for label, pass_plan in distinct_pass_plans(model, tokens):
+            grid.append(
+                (model.name, label, pass_plan, tuple(algorithms), chips, hw)
+            )
+    return grid
+
+
+def run(jobs: Optional[int] = None, **params) -> List[ShapeRow]:
+    """Produce every Figure 11 bar (``params`` go to :func:`points`).
 
     The (model, GeMM shape) grid points are independent and run in
     worker processes when ``jobs`` (or ``REPRO_JOBS``) allows.
     """
-    points = []
-    for model in models:
-        tokens = model.tokens(batch_size)
-        for label, pass_plan in distinct_pass_plans(model, tokens):
-            points.append(
-                (model.name, label, pass_plan, tuple(algorithms), chips, hw)
-            )
-    return [row for rows in grid_map(_point_rows, points, jobs=jobs)
-            for row in rows]
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def _best_for_shape(
@@ -174,30 +177,10 @@ def render(rows: Sequence[ShapeRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4, chips: int = 256) -> str:
-    return render(run(chips=chips, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    points = []
-    for model in (GPT3_175B, MEGATRON_NLG_530B):
-        tokens = model.tokens(128)
-        for label, pass_plan in distinct_pass_plans(model, tokens):
-            points.append(
-                (model.name, label, pass_plan,
-                 tuple(TWO_D_ALGORITHMS), 256, TPUV4)
-            )
-    return points
-
-
 CAMPAIGN = CampaignSpec(
     name="fig11",
-    points=_campaign_points,
+    points=points,
     point=_point_rows,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

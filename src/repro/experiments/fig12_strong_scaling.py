@@ -19,8 +19,8 @@ from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
     CLUSTER_SIZES,
     best_block_run,
-    grid_map,
     render_table,
+    spec_rows,
 )
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
@@ -69,26 +69,28 @@ def _point_rows(point) -> List[StrongScalingRow]:
     return rows
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     sizes: Sequence[int] = CLUSTER_SIZES,
     batch_size: int = 32,
     algorithms: Sequence[str] = STRONG_SCALING_ALGORITHMS,
     hw: HardwareParams = TPUV4,
-    jobs: Optional[int] = None,
-) -> List[StrongScalingRow]:
-    """Produce every Figure 12 data point.
-
-    Grid points are independent (model, chips) pairs and run in worker
-    processes when ``jobs`` (or ``REPRO_JOBS``) allows.
-    """
-    points = [
+) -> List[tuple]:
+    """The Figure 12 grid: one point per (model, cluster size)."""
+    return [
         (model, chips, batch_size, tuple(algorithms), hw)
         for model in models
         for chips in sizes
     ]
-    return [row for rows in grid_map(_point_rows, points, jobs=jobs)
-            for row in rows]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[StrongScalingRow]:
+    """Produce every Figure 12 data point (``params`` go to :func:`points`).
+
+    Grid points are independent (model, chips) pairs and run in worker
+    processes when ``jobs`` (or ``REPRO_JOBS``) allows.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def render(rows: Sequence[StrongScalingRow]) -> str:
@@ -98,26 +100,10 @@ def render(rows: Sequence[StrongScalingRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4, sizes: Sequence[int] = CLUSTER_SIZES) -> str:
-    return render(run(sizes=sizes, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, chips, 32, tuple(STRONG_SCALING_ALGORITHMS), TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-        for chips in CLUSTER_SIZES
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig12",
-    points=_campaign_points,
+    points=points,
     point=_point_rows,
     render=render,
     flatten=True,
 )
-
-
-if __name__ == "__main__":
-    print(main())

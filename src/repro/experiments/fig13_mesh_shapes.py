@@ -17,9 +17,9 @@ from repro.autotuner.dataflow import plan_model
 from repro.autotuner.search import tune_mesh
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
-    grid_map,
     render_table,
     run_block,
+    spec_rows,
     weak_scaling_batch,
 )
 from repro.hw.params import HardwareParams
@@ -61,25 +61,28 @@ def _point_row(point) -> MeshShapeRow:
     )
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     chips: int = 256,
     hw: HardwareParams = TPUV4,
     meshes: Optional[Sequence[Mesh2D]] = None,
-    jobs: Optional[int] = None,
-) -> List[MeshShapeRow]:
-    """Produce the Figure 13 series.
-
-    The (model, mesh shape) grid points are independent and run in
-    worker processes when ``jobs`` (or ``REPRO_JOBS``) allows.
-    """
+) -> List[tuple]:
+    """The Figure 13 grid: one point per (model, mesh shape)."""
     candidates = list(meshes or mesh_shapes(chips, min_dim=2))
-    points = [
+    return [
         (model, chips, mesh, hw)
         for model in models
         for mesh in candidates
     ]
-    return grid_map(_point_row, points, jobs=jobs)
+
+
+def run(jobs: Optional[int] = None, **params) -> List[MeshShapeRow]:
+    """Produce the Figure 13 series (``params`` go to :func:`points`).
+
+    The (model, mesh shape) grid points are independent and run in
+    worker processes when ``jobs`` (or ``REPRO_JOBS``) allows.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def optimal_shapes(
@@ -104,7 +107,8 @@ def render(rows: Sequence[MeshShapeRow]) -> str:
         ],
     )
     lines = [table, ""]
-    for model in {r.model for r in rows}:
+    # First-appearance order: a set would tie the footer to the hash seed.
+    for model in dict.fromkeys(r.model for r in rows):
         est, sim = optimal_shapes(rows, model)
         agree = "agree" if est == sim else "DISAGREE"
         lines.append(
@@ -114,25 +118,9 @@ def render(rows: Sequence[MeshShapeRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4, chips: int = 256) -> str:
-    return render(run(chips=chips, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, 256, mesh, TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-        for mesh in mesh_shapes(256, min_dim=2)
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig13",
-    points=_campaign_points,
+    points=points,
     point=_point_row,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

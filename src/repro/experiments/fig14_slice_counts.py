@@ -18,7 +18,11 @@ from repro.algorithms import GeMMConfig, get_algorithm
 from repro.autotuner.costmodel import meshslice_estimate
 from repro.autotuner.dataflow import plan_model
 from repro.campaign.spec import CampaignSpec
-from repro.experiments.common import render_table, weak_scaling_batch
+from repro.experiments.common import (
+    render_table,
+    spec_rows,
+    weak_scaling_batch,
+)
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4
 from repro.mesh.topology import Mesh2D
@@ -76,19 +80,24 @@ def _point_row(point) -> SliceCountRow:
     )
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     chips: int = 256,
     mesh: Mesh2D = Mesh2D(32, 8),
     slice_counts: Sequence[int] = SLICE_COUNTS,
     hw: HardwareParams = TPUV4,
-) -> List[SliceCountRow]:
-    """Produce the Figure 14 series."""
+) -> List[tuple]:
+    """The Figure 14 grid: one point per (model, slice count)."""
     return [
-        _point_row((model, chips, mesh, slices, hw))
+        (model, chips, mesh, slices, hw)
         for model in models
         for slices in slice_counts
     ]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[SliceCountRow]:
+    """Produce the Figure 14 series (``params`` go to :func:`points`)."""
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def optimal_slices(rows: Sequence[SliceCountRow], model: str) -> Tuple[int, int]:
@@ -122,25 +131,9 @@ def render(rows: Sequence[SliceCountRow]) -> str:
     return "\n".join(lines)
 
 
-def main(hw: HardwareParams = TPUV4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, 256, Mesh2D(32, 8), slices, TPUV4)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-        for slices in SLICE_COUNTS
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="fig14",
-    points=_campaign_points,
+    points=points,
     point=_point_row,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

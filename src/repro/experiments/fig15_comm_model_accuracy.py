@@ -14,14 +14,14 @@ statistic against its simulated measurement.
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.algorithms import GeMMConfig
 from repro.autotuner.costmodel import best_slice_count
 from repro.autotuner.dataflow import plan_model
 from repro.campaign.spec import CampaignSpec
 from repro.comm.cost import CommCostModel
-from repro.experiments.common import render_table
+from repro.experiments.common import render_table, spec_rows
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4_CLOUD_4X4
 from repro.mesh.topology import Mesh2D
@@ -150,21 +150,28 @@ def _point_row(point) -> CommAccuracyRow:
     )
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     batch_size: int = 8,
     hw: HardwareParams = TPUV4_CLOUD_4X4,
-) -> List[CommAccuracyRow]:
-    """Produce the Figure 15 bars (one per FC layer, fwd+bwd total)."""
-    rows: List[CommAccuracyRow] = []
+) -> List[tuple]:
+    """The Figure 15 grid: one point per (model, FC layer)."""
+    grid = []
     for model in models:
-        tokens = model.tokens(batch_size)
-        plans = plan_model(model, tokens, optimize_dataflow=True)
+        plans = plan_model(
+            model, model.tokens(batch_size), optimize_dataflow=True
+        )
         for plan in plans:
-            rows.append(
-                _point_row((model, batch_size, plan.layer.name, hw))
-            )
-    return rows
+            grid.append((model, batch_size, plan.layer.name, hw))
+    return grid
+
+
+def run(jobs: Optional[int] = None, **params) -> List[CommAccuracyRow]:
+    """Produce the Figure 15 bars (one per FC layer, fwd+bwd total).
+
+    ``params`` go to :func:`points`.
+    """
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def average_error(rows: Sequence[CommAccuracyRow]) -> float:
@@ -190,26 +197,9 @@ def render(rows: Sequence[CommAccuracyRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4_CLOUD_4X4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    points = []
-    for model in (GPT3_175B, MEGATRON_NLG_530B):
-        plans = plan_model(model, model.tokens(8), optimize_dataflow=True)
-        for plan in plans:
-            points.append((model, 8, plan.layer.name, TPUV4_CLOUD_4X4))
-    return points
-
-
 CAMPAIGN = CampaignSpec(
     name="fig15",
-    points=_campaign_points,
+    points=points,
     point=_point_row,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

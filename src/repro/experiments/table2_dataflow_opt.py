@@ -12,12 +12,13 @@ more compute-heavy Megatron-NLG the gain is smaller (5.1%).
 from __future__ import annotations
 
 import dataclasses
-from typing import List, Sequence
+from typing import List, Optional, Sequence
 
 from repro.campaign.spec import CampaignSpec
 from repro.experiments.common import (
     best_block_run,
     render_table,
+    spec_rows,
     weak_scaling_batch,
 )
 from repro.hw.params import HardwareParams
@@ -64,13 +65,18 @@ def _point_row(point) -> DataflowRow:
     )
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     chips: int = 256,
     hw: HardwareParams = TPUV4,
-) -> List[DataflowRow]:
-    """Produce the Table 2 rows."""
-    return [_point_row((model, chips, hw)) for model in models]
+) -> List[tuple]:
+    """The Table 2 grid: one point per model."""
+    return [(model, chips, hw) for model in models]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[DataflowRow]:
+    """Produce the Table 2 rows (``params`` go to :func:`points`)."""
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def render(rows: Sequence[DataflowRow]) -> str:
@@ -91,21 +97,9 @@ def render(rows: Sequence[DataflowRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4, chips: int = 256) -> str:
-    return render(run(chips=chips, hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [(model, 256, TPUV4) for model in (GPT3_175B, MEGATRON_NLG_530B)]
-
-
 CAMPAIGN = CampaignSpec(
     name="table2",
-    points=_campaign_points,
+    points=points,
     point=_point_row,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

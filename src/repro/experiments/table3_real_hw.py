@@ -19,11 +19,11 @@ one, mirroring the paper's methodology.
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Sequence
+from typing import Dict, List, Optional, Sequence
 
 from repro.autotuner.dataflow import plan_model
 from repro.campaign.spec import CampaignSpec
-from repro.experiments.common import render_table, run_block
+from repro.experiments.common import render_table, run_block, spec_rows
 from repro.hw.params import HardwareParams
 from repro.hw.presets import TPUV4_CLOUD_4X4, TPUV4_CLOUD_4X4_OVERLAP
 from repro.mesh.topology import Mesh2D
@@ -85,16 +85,19 @@ def _point_row(point) -> RealHWRow:
     )
 
 
-def run(
+def points(
     models: Sequence[LLMConfig] = (GPT3_175B, MEGATRON_NLG_530B),
     batch_size: int = 8,
     hw: HardwareParams = TPUV4_CLOUD_4X4,
     overlap_hw: HardwareParams = TPUV4_CLOUD_4X4_OVERLAP,
-) -> List[RealHWRow]:
-    """Produce the Table 3 rows on the fixed 4x4 cloud mesh."""
-    return [
-        _point_row((model, batch_size, hw, overlap_hw)) for model in models
-    ]
+) -> List[tuple]:
+    """The Table 3 grid: one point per model on the fixed 4x4 mesh."""
+    return [(model, batch_size, hw, overlap_hw) for model in models]
+
+
+def run(jobs: Optional[int] = None, **params) -> List[RealHWRow]:
+    """Produce the Table 3 rows (``params`` go to :func:`points`)."""
+    return spec_rows(CAMPAIGN, jobs, **params)
 
 
 def render(rows: Sequence[RealHWRow]) -> str:
@@ -117,24 +120,9 @@ def render(rows: Sequence[RealHWRow]) -> str:
     )
 
 
-def main(hw: HardwareParams = TPUV4_CLOUD_4X4) -> str:
-    return render(run(hw=hw))
-
-
-def _campaign_points() -> List[tuple]:
-    return [
-        (model, 8, TPUV4_CLOUD_4X4, TPUV4_CLOUD_4X4_OVERLAP)
-        for model in (GPT3_175B, MEGATRON_NLG_530B)
-    ]
-
-
 CAMPAIGN = CampaignSpec(
     name="table3",
-    points=_campaign_points,
+    points=points,
     point=_point_row,
     render=render,
 )
-
-
-if __name__ == "__main__":
-    print(main())

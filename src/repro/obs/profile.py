@@ -36,7 +36,7 @@ class ProfileReport:
         cache_hit_rates: Hit rate of each warm memoization cache.
         compile_stats: The compiled engine's cumulative ``compile.*``
             counters (runs, motifs found/validated, composed vs
-            simulated instance and activity counts, compile seconds),
+            simulated instance and activity counts),
             empty when the heap engine ran.
         service_stats: The tuning service's cumulative ``service.*``
             counters and gauges (store hit/miss/corrupt counts,
@@ -140,12 +140,7 @@ class ProfileReport:
                     render_table(
                         ["compiled engine", "total"],
                         [
-                            (
-                                name[len("compile."):],
-                                f"{value:.3f}"
-                                if name == "compile.seconds"
-                                else f"{value:g}",
-                            )
+                            (name[len("compile."):], f"{value:g}")
                             for name, value in sorted(
                                 self.compile_stats.items()
                             )

@@ -345,18 +345,25 @@ class CompiledEngine:
         return spans
 
     def _publish(self) -> None:
-        """Emit compile stats as observability counters."""
+        """Emit compile stats as observability counters.
+
+        Only deterministic work counts are published, and only when
+        non-zero: wall time (``stats.compile_seconds``) would make
+        exports differ run to run, and a ``+0`` would create series a
+        serial run exports but pooled registry deltas omit.
+        """
         stats = self.stats
         reg = _registry()
         reg.inc("compile.runs")
-        reg.inc("compile.motifs_found", float(stats.motifs_found))
-        reg.inc("compile.motifs_validated", float(stats.motifs_validated))
-        reg.inc("compile.instances_composed", float(stats.instances_composed))
-        reg.inc(
-            "compile.instances_simulated", float(stats.instances_simulated)
-        )
-        reg.inc("compile.activities_composed", float(stats.activities_composed))
-        reg.inc("compile.seconds", stats.compile_seconds)
+        for name, value in (
+            ("compile.motifs_found", stats.motifs_found),
+            ("compile.motifs_validated", stats.motifs_validated),
+            ("compile.instances_composed", stats.instances_composed),
+            ("compile.instances_simulated", stats.instances_simulated),
+            ("compile.activities_composed", stats.activities_composed),
+        ):
+            if value:
+                reg.inc(name, float(value))
         if stats.fallback is not None:
             reg.inc("compile.fallbacks", labels={"reason": stats.fallback})
 

@@ -34,7 +34,7 @@ class TestUnrolling:
         assert ("summa", "unrolled (paper)") in variants
 
     def test_main_renders(self):
-        from repro.experiments import ablation_unrolling
+        from repro.cli import run_experiment
 
-        report = ablation_unrolling.main()
+        report = run_experiment("ablation-unrolling")
         assert "unrolling speeds summa" in report

@@ -21,6 +21,8 @@ from repro.campaign import (
     rows,
     status,
 )
+from repro.cli import run_experiment
+from repro.experiments import EXPERIMENTS
 
 
 def _metric(name, value, kind="counter"):
@@ -84,15 +86,15 @@ class TestStatus:
 
 
 class TestRowsAndReport:
-    def test_report_matches_direct_main(self, tmp_path):
-        from repro.experiments import ablation_25d
-
-        spec = get_campaign("ablation-2.5d")
+    @pytest.mark.parametrize("name", sorted(EXPERIMENTS))
+    def test_report_matches_direct_main(self, tmp_path, name):
+        """A stored campaign reports exactly what ``meshslice run`` prints."""
+        spec = get_campaign(name)
         store = CampaignStore(str(tmp_path))
         summary = CampaignRunner(store, spec.name, spec.point,
                                  jobs=1).run(spec.points())
         assert summary.complete and summary.failed == 0
-        assert report(store, spec.name, spec) == ablation_25d.main()
+        assert report(store, spec.name, spec) == run_experiment(name)
 
     def test_failed_records_contribute_no_rows(self, tmp_path):
         store = CampaignStore(str(tmp_path))

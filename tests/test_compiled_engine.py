@@ -187,7 +187,6 @@ def test_compile_counters_published():
         "compile.instances_composed",
         "compile.instances_simulated",
         "compile.activities_composed",
-        "compile.seconds",
     )
     before = {n: GLOBAL_REGISTRY.counter_value(n) for n in names}
     program.run(engine="compiled")

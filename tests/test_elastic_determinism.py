@@ -80,16 +80,14 @@ sys.stdout.write(canonical_json(rows) + "\\n")
 CAMPAIGN_SCRIPT = """
 import sys
 from repro.campaign import CampaignRunner, CampaignStore
-from repro.experiments.ablation_elastic import _campaign_point, _grid_points
-from repro.hw.presets import TPUV4
-from repro.models import GPT3_175B
+from repro.experiments.ablation_elastic import CAMPAIGN
 
 root, jobs = sys.argv[1], int(sys.argv[2])
-points = _grid_points(
-    GPT3_175B, TPUV4, (500.0,), (0, 2), 60.0, 60.0, 180.0, 5.0, 0
+points = CAMPAIGN.points(
+    mtbf_hours=(500.0,), spare_counts=(0, 2), duration_days=5.0
 )
 summary = CampaignRunner(
-    CampaignStore(root), "elastic-determinism", _campaign_point, jobs=jobs
+    CampaignStore(root), "elastic-determinism", CAMPAIGN.point, jobs=jobs
 ).run(points)
 sys.stdout.write(f"complete={summary.complete} ran={summary.ran}\\n")
 """

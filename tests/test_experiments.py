@@ -7,6 +7,7 @@ orderings, optimum agreement, traffic ratios.
 
 import pytest
 
+from repro.cli import run_experiment
 from repro.experiments import (
     ablation_25d,
     ablation_faults,
@@ -23,6 +24,7 @@ from repro.experiments import (
     table2_dataflow_opt,
     table3_real_hw,
 )
+from repro.experiments.common import spec_rows
 from repro.mesh import Mesh2D
 from repro.models import GPT3_175B
 
@@ -125,6 +127,21 @@ class TestFig13:
         )
         with pytest.raises(ValueError):
             fig13_mesh_shapes.optimal_shapes(rows, "nope")
+
+    def test_footer_follows_row_order(self):
+        """Models footer in first-appearance order, whatever the hash seed."""
+        row = fig13_mesh_shapes.MeshShapeRow
+        rows = [
+            row("megatron-nlg-530b", (4, 4), 0.5, 0.6),
+            row("gpt3-175b", (2, 8), 0.4, 0.3),
+            row("megatron-nlg-530b", (8, 2), 0.7, 0.2),
+        ]
+        footer = fig13_mesh_shapes.render(rows).splitlines()[-2:]
+        assert footer == [
+            "megatron-nlg-530b: cost model picks 8x2, "
+            "simulation picks 4x4 (DISAGREE)",
+            "gpt3-175b: cost model picks 2x8, simulation picks 2x8 (agree)",
+        ]
 
 
 class TestFig14:
@@ -276,7 +293,7 @@ class TestAblationSdc:
 
 
 class TestMains:
-    """Every experiment's main() renders a non-empty report."""
+    """Every experiment's spec renders a non-empty report."""
 
     @pytest.mark.parametrize(
         "module,kwargs",
@@ -293,7 +310,8 @@ class TestMains:
         ],
     )
     def test_main_renders(self, module, kwargs):
-        report = module.main(**kwargs)
+        spec = module.CAMPAIGN
+        report = spec.render(spec_rows(spec, **kwargs))
         assert isinstance(report, str)
         assert len(report.splitlines()) > 2
 
@@ -384,7 +402,7 @@ class TestAblationRecovery:
         assert gaps == sorted(gaps)
 
     def test_main_renders(self):
-        report = ablation_recovery.main()
+        report = run_experiment("ablation-recovery")
         assert "best" in report
         assert "degrade" in report
         assert len(report.splitlines()) > 4

@@ -1,5 +1,6 @@
 """Tests for the Figure 4 timeline experiment."""
 
+from repro.cli import run_experiment
 from repro.experiments import fig04_timelines
 from repro.sim.trace import Trace
 from repro.sim.engine import CORE, LINK_H, LINK_V
@@ -35,7 +36,7 @@ class TestFig4:
         assert core + links >= 0.99 * result.makespan
 
     def test_main_renders_all_timelines(self):
-        report = fig04_timelines.main()
+        report = run_experiment("fig4")
         for name in ("cannon", "summa", "collective", "wang", "meshslice"):
             assert name in report
         assert "fastest to slowest" in report
