@@ -19,8 +19,9 @@ enums, and dataclasses survive a round trip::
 Points only ever need the *encode* direction (their hash is their
 identity; the live objects come from the campaign spec). Result rows
 need both: :func:`decode_value` re-imports the named dataclass or enum
-— and refuses anything that is not one — so query/report code gets the
-experiment's own row types back.
+— and refuses anything that is not one, or that lives outside the
+``repro`` package — so query/report code gets the experiment's own row
+types back.
 
 Anything without a canonical form (functions, open handles, objects
 that are not dataclasses) raises ``TypeError`` — campaign specs must
@@ -56,11 +57,22 @@ def _qualref(cls: type) -> str:
     return f"{cls.__module__}:{cls.__qualname__}"
 
 
-def _resolve(ref: str) -> Any:
-    module_name, _, qualname = ref.partition(":")
-    obj: Any = importlib.import_module(module_name)
-    for part in qualname.split("."):
-        obj = getattr(obj, part)
+def _resolve(ref: Any) -> Any:
+    """The ``repro`` object a stored ``module:qualname`` ref names.
+
+    A record must not choose what gets imported: a ref outside the
+    ``repro`` package is refused before any import runs, and one that
+    does not resolve raises ``ValueError`` like every other bad record.
+    """
+    module_name, _, qualname = str(ref).partition(":")
+    if module_name != "repro" and not module_name.startswith("repro."):
+        raise ValueError(f"refusing to decode {ref!r}: not a repro type")
+    try:
+        obj: Any = importlib.import_module(module_name)
+        for part in qualname.split("."):
+            obj = getattr(obj, part)
+    except (ImportError, AttributeError, ValueError) as exc:
+        raise ValueError(f"cannot resolve {ref!r}: {exc}") from None
     return obj
 
 

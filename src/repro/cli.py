@@ -28,451 +28,304 @@ the command (see ``docs/observability.md`` for the schema).
 Bare experiment names keep working as aliases of ``run`` —
 ``meshslice fig9 --jobs 8`` and ``meshslice all`` behave exactly as
 they did before the subcommand interface existed.
+
+The parser, the flag checks and the dispatch all come from two tables:
+to add a flag, declare it once in :data:`FLAGS` (argparse arguments,
+an optional ``(predicate, requirement)`` rule and converter) and list
+its name in each :data:`SUBCOMMANDS` entry that takes it.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, Mapping, NamedTuple, Optional, Tuple
 
 from repro.experiments import EXPERIMENTS
 from repro.experiments.common import spec_rows
+from repro.hw import get_preset
+from repro.models import get_model
+from repro.sim.compiled import ENGINE_NAMES, set_default_engine
 
-#: The real subcommands; anything else in command position is treated
-#: as an experiment name and routed through ``run`` (legacy alias).
-COMMANDS = (
-    "run", "list", "tune", "faults", "recovery", "elastic", "sdc",
-    "profile", "serve", "campaign", "models", "presets",
-)
+#: A validity rule: ``(predicate(value), requirement text)``.
+Rule = Tuple[Callable[[Any], bool], str]
+
+_AT_LEAST_1: Rule = (lambda v: v >= 1, "must be >= 1")
+_NON_NEGATIVE: Rule = (lambda v: v >= 0, "must be non-negative")
+_POSITIVE: Rule = (lambda v: v > 0, "must be positive")
+_TWO_BY_TWO = "need at least a 2x2 mesh to survive a dead chip"
 
 
-def _add_cluster_arguments(parser: argparse.ArgumentParser) -> None:
-    """Model/cluster selection shared by ``tune`` and ``faults``."""
-    parser.add_argument(
-        "model", nargs="?", default=None,
-        help="model name (see 'models')",
+def _mesh_shapes(value):
+    """``RxC`` as ``(rows, cols)``; a repeated flag's list as a list."""
+    if isinstance(value, list):
+        return [_mesh_shapes(spec) for spec in value]
+    parts = value.lower().split("x")
+    if len(parts) != 2 or not all(p.isdigit() and int(p) > 0 for p in parts):
+        raise ValueError(f"invalid mesh shape {value!r} (expected RxC)")
+    return int(parts[0]), int(parts[1])
+
+
+@dataclasses.dataclass(frozen=True)
+class Flag:
+    """One flag: its argparse arguments, validity rule and converter.
+
+    ``rule`` is checked on any given (non-``None``) value; ``convert``
+    then replaces the value, and its ``KeyError``/``ValueError`` text is
+    the diagnostic. ``overrides`` maps a command label (``"recovery"``,
+    ``"campaign status"``) to the fields that differ there.
+    """
+
+    help: str
+    type: Optional[Callable[[str], Any]] = None
+    default: Any = None
+    choices: Optional[Tuple[str, ...]] = None
+    metavar: Optional[str] = None
+    nargs: Optional[str] = None
+    action: Optional[str] = None
+    required: Optional[bool] = None
+    rule: Optional[Rule] = None
+    convert: Optional[Callable[[Any], Any]] = None
+    overrides: Mapping[str, Mapping[str, Any]] = dataclasses.field(
+        default_factory=dict
     )
-    parser.add_argument(
-        "--chips", type=int, default=256, help="cluster size",
-    )
-    parser.add_argument(
-        "--batch", type=int, default=None,
-        help="global batch (default: chips / 2)",
-    )
-    parser.add_argument(
-        "--hw", default="tpuv4-sim",
-        help="hardware preset name (see 'presets')",
-    )
+
+    def at(self, label: str) -> "Flag":
+        """This flag as the command ``label`` declares it."""
+        return dataclasses.replace(self, **self.overrides.get(label, {}))
+
+    def add_to(self, parser: argparse.ArgumentParser, name: str) -> None:
+        kwargs = {
+            key: getattr(self, key)
+            for key in ("type", "default", "choices", "metavar", "nargs",
+                        "action", "required", "help")
+            if getattr(self, key) is not None
+        }
+        parser.add_argument(name, **kwargs)
 
 
-def _add_metrics_argument(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics", metavar="PATH", default=None,
-        help=(
-            "write collected metrics to a JSONL file after the command "
-            "(schema: docs/observability.md)"
+#: Every flag of every subcommand, each declared once.
+FLAGS: Dict[str, Flag] = {
+    "experiments": Flag(
+        "experiment names from 'list', or 'all'", nargs="+",
+        metavar="experiment",
+    ),
+    "experiment": Flag(
+        "experiment name from 'list'",
+        overrides={"campaign status": dict(
+            nargs="?",
+            help="experiment name (default: every campaign in the store)",
+        )},
+    ),
+    "model": Flag("model name (see 'models')", nargs="?", convert=get_model),
+    "--chips": Flag(
+        "cluster size", type=int, default=256, rule=_AT_LEAST_1,
+        overrides={
+            "faults": dict(rule=None),
+            "recovery": dict(rule=(lambda v: v >= 4, _TWO_BY_TWO)),
+        },
+    ),
+    "--batch": Flag(
+        "global batch (default: chips / 2)", type=int, rule=_AT_LEAST_1,
+        overrides=dict.fromkeys(
+            ("faults", "recovery", "elastic"), dict(rule=None)
         ),
-    )
-
-
-def _add_engine_argument(parser: argparse.ArgumentParser) -> None:
-    from repro.sim.compiled import ENGINE_NAMES
-
-    parser.add_argument(
-        "--engine", choices=ENGINE_NAMES, default=None,
-        help=(
-            "simulation engine (default: REPRO_ENGINE env var, then "
-            "'heap'); 'compiled' exploits repeated program structure "
-            "and produces bit-identical results"
-        ),
-    )
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="meshslice",
-        description="MeshSlice (ISCA 2025) reproduction toolkit",
-    )
-    sub = parser.add_subparsers(dest="command", metavar="command")
-
-    run = sub.add_parser(
-        "run",
-        help="run experiments by name ('all' for every one)",
-        description="Run one or more experiment reproductions.",
-    )
-    run.add_argument(
-        "experiments", nargs="+", metavar="experiment",
-        help="experiment names from 'list', or 'all'",
-    )
-    run.add_argument(
-        "--jobs", type=int, default=None,
-        help=(
-            "worker processes for experiment grids "
-            "(default: REPRO_JOBS env var, then the CPU count)"
-        ),
-    )
-    _add_metrics_argument(run)
-    _add_engine_argument(run)
-
-    sub.add_parser("list", help="enumerate the available experiments")
-
-    tune = sub.add_parser(
-        "tune",
-        help="autotune mesh shape and slice counts for a model",
-        description="Run the two-phase autotuner (Section 3.2).",
-    )
-    _add_cluster_arguments(tune)
-    _add_metrics_argument(tune)
-    _add_engine_argument(tune)
-
-    faults = sub.add_parser(
-        "faults",
-        help="fault-aware robust tuning over a straggler/link ensemble",
-        description=(
-            "Choose the mesh shape minimizing a tail quantile of the "
-            "simulated block time over a seeded ensemble of fault plans "
-            "(stragglers, degraded links, jitter, outages)."
-        ),
-    )
-    _add_cluster_arguments(faults)
-    faults.add_argument(
-        "--algorithm", default="meshslice",
-        help="distributed GeMM algorithm to simulate (default: meshslice)",
-    )
-    faults.add_argument(
-        "--stragglers", type=int, default=1,
-        help="straggling chips per fault plan (default: 1)",
-    )
-    faults.add_argument(
-        "--straggler-slowdown", type=float, default=1.5,
-        help="worst-case straggler compute slowdown factor (default: 1.5)",
-    )
-    faults.add_argument(
-        "--degraded-links", type=int, default=0,
-        help="degraded mesh links per fault plan (default: 0)",
-    )
-    faults.add_argument(
-        "--link-slowdown", type=float, default=2.0,
-        help="worst-case link bandwidth degradation factor (default: 2.0)",
-    )
-    faults.add_argument(
-        "--jitter", type=float, default=0.0,
-        help="max extra collective launch latency, seconds (default: 0)",
-    )
-    faults.add_argument(
-        "--outage-rate", type=float, default=0.0,
-        help="per-transfer transient outage probability (default: 0)",
-    )
-    faults.add_argument(
-        "--ensemble", type=int, default=16,
-        help="number of sampled fault plans (default: 16)",
-    )
-    faults.add_argument(
-        "--quantile", type=float, default=0.95,
-        help="tail quantile to minimize (default: 0.95)",
-    )
-    faults.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed of the fault ensemble (default: 0)",
-    )
-    _add_metrics_argument(faults)
-
-    recovery = sub.add_parser(
-        "recovery",
-        help="goodput of recovery policies (restart vs degraded mesh)",
-        description=(
-            "Compare end-to-end goodput of checkpoint-restart against "
-            "degraded-mesh continuation: tune the model, re-tune it on "
-            "the torus surviving one dead chip, and combine both step "
-            "times with the Young/Daly checkpoint model."
-        ),
-    )
-    _add_cluster_arguments(recovery)
-    recovery.add_argument(
-        "--chip-mtbf-hours", type=float, default=2000.0,
-        help="per-chip mean time between failures, hours (default: 2000)",
-    )
-    recovery.add_argument(
-        "--repair-minutes", type=float, default=60.0,
-        help="chip repair/replacement time, minutes (default: 60)",
-    )
-    recovery.add_argument(
-        "--checkpoint-seconds", type=float, default=60.0,
-        help="checkpoint write cost, seconds (default: 60)",
-    )
-    recovery.add_argument(
-        "--restart-seconds", type=float, default=180.0,
-        help="restart (reload + reschedule) cost, seconds (default: 180)",
-    )
-    recovery.add_argument(
-        "--policy", choices=("restart", "degrade", "both"), default="both",
-        help="recovery policy to evaluate (default: both)",
-    )
-    _add_metrics_argument(recovery)
-
-    elastic = sub.add_parser(
-        "elastic",
-        help="seeded multi-failure lifetime simulation of elastic policies",
-        description=(
-            "Simulate a multi-day training run under chip failures: "
-            "tune the model on the full torus, then replay a seeded "
-            "failure/repair history under restart, degrade, "
-            "replace-from-spares, or reshape policies — charging "
-            "checkpoint rollback and the simulated reshard-migration "
-            "program for every reconfiguration — and compare the "
-            "simulated goodput against the closed-form policy math."
-        ),
-    )
-    elastic.add_argument(
-        "model", nargs="?", default=None,
-        help="model name (see 'models')",
-    )
-    elastic.add_argument(
-        "--mesh", default="4x4", metavar="RxC",
-        help="full torus shape, e.g. 4x4 (default: 4x4)",
-    )
-    elastic.add_argument(
-        "--batch", type=int, default=None,
-        help="global batch (default: chips / 2)",
-    )
-    elastic.add_argument(
-        "--hw", default="tpuv4-sim",
-        help="hardware preset name (see 'presets')",
-    )
-    elastic.add_argument(
-        "--policy",
-        choices=("restart", "degrade", "replace", "reshape", "all"),
-        default="all",
-        help="elastic policy to simulate (default: all)",
-    )
-    elastic.add_argument(
-        "--spares", type=int, default=0,
-        help="spare chips in the replacement pool (default: 0)",
-    )
-    elastic.add_argument(
-        "--duration-days", type=float, default=30.0,
-        help="simulated horizon in days (default: 30)",
-    )
-    elastic.add_argument(
-        "--seed", type=int, default=0,
-        help="seed of the failure-arrival process (default: 0)",
-    )
-    elastic.add_argument(
-        "--chip-mtbf-hours", type=float, default=2000.0,
-        help="per-chip mean time between failures, hours (default: 2000)",
-    )
-    elastic.add_argument(
-        "--repair-minutes", type=float, default=60.0,
-        help="chip repair/replacement time, minutes (default: 60)",
-    )
-    elastic.add_argument(
-        "--checkpoint-seconds", type=float, default=60.0,
-        help="checkpoint write cost, seconds (default: 60)",
-    )
-    elastic.add_argument(
-        "--restart-seconds", type=float, default=180.0,
-        help="restart (reload + reschedule) cost, seconds (default: 180)",
-    )
-    elastic.add_argument(
-        "--plane", choices=("onesided", "collective"), default="onesided",
-        help="comm plane of the reshard migrations (default: onesided)",
-    )
-    elastic.add_argument(
-        "--events", metavar="PATH", default=None,
-        help=(
-            "write the structured JSONL event log (requires a single "
-            "--policy, not 'all')"
-        ),
-    )
-    _add_metrics_argument(elastic)
-    _add_engine_argument(elastic)
-
-    sdc = sub.add_parser(
-        "sdc",
-        help="silent-data-corruption sweep: ABFT protection vs escapes",
-        description=(
-            "Inject seeded bit flips into the functional 2D GeMM with "
-            "and without ABFT checksums, and report escape counts, "
-            "correction statistics, and the simulated protection "
-            "overhead per (rate, mesh) grid point."
-        ),
-    )
-    sdc.add_argument(
-        "--rate", type=float, action="append", default=None,
-        metavar="R",
-        help="SDC rate(s) to sweep; repeatable (default: 1e-3 1e-2 0.05)",
-    )
-    sdc.add_argument(
-        "--mesh", action="append", default=None, metavar="RxC",
-        help="mesh shape(s) to sweep, e.g. 4x4; repeatable "
-             "(default: 2x2 4x4)",
-    )
-    sdc.add_argument(
-        "--algorithm", default="meshslice",
-        choices=("meshslice", "summa", "collective"),
-        help="distributed GeMM algorithm to protect (default: meshslice)",
-    )
-    sdc.add_argument(
-        "--trials", type=int, default=8,
-        help="functional trials per grid point (default: 8)",
-    )
-    sdc.add_argument(
-        "--seed", type=int, default=0,
-        help="base seed of the injection ensemble (default: 0)",
-    )
-    sdc.add_argument(
-        "--hw", default="tpuv4-sim",
-        help="hardware preset name (see 'presets')",
-    )
-    sdc.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the sweep grid",
-    )
-    _add_metrics_argument(sdc)
-
-    profile = sub.add_parser(
-        "profile",
-        help="profile one deployment point: where does the time go?",
-        description=(
-            "Simulate one transformer block at the algorithm's optimal "
-            "mesh shape and report per-resource utilization, the "
-            "compute/communication overlap fraction, the communication "
-            "breakdown, queue waits, and memoization hit rates."
-        ),
-    )
-    _add_cluster_arguments(profile)
-    profile.add_argument(
-        "--algorithm", default="meshslice",
-        help="distributed GeMM algorithm to profile (default: meshslice)",
-    )
-    _add_metrics_argument(profile)
-    _add_engine_argument(profile)
-
-    serve = sub.add_parser(
-        "serve",
-        help="serve tuning requests from a persistent plan store",
-        description=(
-            "Run the tuning service: JSONL TuneRequest queries (one "
-            "object per line; see docs/service.md) are answered through "
-            "the in-memory cache, the on-disk plan store, and finally a "
-            "warm-started search. Queries come from stdin by default, "
-            "or from a file with --replay (one-shot mode)."
-        ),
-    )
-    serve.add_argument(
-        "--store", metavar="DIR", default=None,
-        help="plan-store directory (created if missing; default: "
-             "in-memory only, nothing persists)",
-    )
-    serve.add_argument(
-        "--workers", type=int, default=4,
-        help="thread-pool width for distinct concurrent requests "
-             "(default: 4)",
-    )
-    serve.add_argument(
-        "--replay", metavar="FILE", default=None,
-        help="one-shot mode: replay a JSONL query file and exit",
-    )
-    serve.add_argument(
-        "--repeat", type=int, default=1,
-        help="replay the query mix this many times (default: 1)",
-    )
-    serve.add_argument(
-        "--no-warm-start", action="store_true",
-        help="disable neighbor-seeded search (results are identical; "
-             "only pruning changes)",
-    )
-    serve.add_argument(
-        "--store-max-records", type=int, default=None, metavar="N",
-        help="bound the plan store to N records, evicting the "
-             "least-recently-used (default: unbounded)",
-    )
-    serve.add_argument(
-        "--store-max-bytes", type=int, default=None, metavar="B",
-        help="bound the plan store to B bytes of records, evicting the "
-             "least-recently-used (default: unbounded)",
-    )
-    _add_metrics_argument(serve)
-    _add_engine_argument(serve)
-
-    campaign = sub.add_parser(
-        "campaign",
-        help="durable, resumable experiment sweeps (crash-tolerant)",
-        description=(
-            "Run an experiment's grid as a campaign: every grid point "
-            "appends a durable record to an append-only JSONL store, so "
-            "a killed sweep resumes where it stopped, transient "
-            "failures retry with backoff, and permanent failures are "
-            "recorded instead of aborting the grid (docs/campaign.md)."
-        ),
-    )
-    campaign_sub = campaign.add_subparsers(
-        dest="campaign_command", metavar="action"
-    )
-    for action, blurb in (
-        ("run", "run a campaign (skips points already in the store)"),
-        ("resume", "continue an interrupted campaign (store must exist)"),
-    ):
-        action_parser = campaign_sub.add_parser(
-            action, help=blurb, description=blurb,
-        )
-        action_parser.add_argument(
-            "experiment", help="experiment name from 'list'",
-        )
-        action_parser.add_argument(
-            "--store", metavar="DIR", required=True,
-            help="campaign-store directory (created if missing)",
-        )
-        action_parser.add_argument(
-            "--jobs", type=int, default=None,
-            help="worker processes for the grid "
-                 "(default: REPRO_JOBS env var, then the CPU count)",
-        )
-        action_parser.add_argument(
-            "--retries", type=int, default=2,
-            help="retry attempts per failing point (default: 2)",
-        )
-        action_parser.add_argument(
-            "--backoff", type=float, default=0.05,
-            help="base retry backoff, seconds; doubles per attempt "
-                 "(default: 0.05)",
-        )
-        action_parser.add_argument(
-            "--retry-failed", action="store_true",
-            help="re-run points whose stored record is 'failed' "
-                 "(appends superseding records)",
-        )
-        _add_metrics_argument(action_parser)
-        _add_engine_argument(action_parser)
-    status_parser = campaign_sub.add_parser(
-        "status",
-        help="summarize stored campaigns (ok/failed counts, versions)",
-    )
-    status_parser.add_argument(
-        "experiment", nargs="?", default=None,
-        help="experiment name (default: every campaign in the store)",
-    )
-    status_parser.add_argument(
-        "--store", metavar="DIR", required=True,
-        help="campaign-store directory",
-    )
-    report_parser = campaign_sub.add_parser(
-        "report",
-        help="render the experiment's table from its stored records",
-    )
-    report_parser.add_argument(
-        "experiment", help="experiment name from 'list'",
-    )
-    report_parser.add_argument(
-        "--store", metavar="DIR", required=True,
-        help="campaign-store directory",
-    )
-
-    sub.add_parser("models", help="list the model zoo")
-    sub.add_parser("presets", help="list the hardware presets")
-    return parser
+    ),
+    "--hw": Flag(
+        "hardware preset name (see 'presets')", default="tpuv4-sim",
+        convert=get_preset,
+    ),
+    "--mesh": Flag(
+        "full torus shape, e.g. 4x4 (default: 4x4)", default="4x4",
+        metavar="RxC", convert=_mesh_shapes,
+        overrides={"sdc": dict(
+            action="append", default=None,
+            help="mesh shape(s) to sweep, e.g. 4x4; repeatable "
+                 "(default: 2x2 4x4)",
+        )},
+    ),
+    "--algorithm": Flag(
+        "distributed GeMM algorithm to simulate (default: meshslice)",
+        default="meshslice",
+        overrides={
+            "sdc": dict(
+                choices=("meshslice", "summa", "collective"),
+                help="distributed GeMM algorithm to protect "
+                     "(default: meshslice)",
+            ),
+            "profile": dict(
+                help="distributed GeMM algorithm to profile "
+                     "(default: meshslice)",
+            ),
+        },
+    ),
+    "--stragglers": Flag(
+        "straggling chips per fault plan (default: 1)", type=int, default=1,
+        rule=_NON_NEGATIVE,
+    ),
+    "--straggler-slowdown": Flag(
+        "worst-case straggler compute slowdown factor (default: 1.5)",
+        type=float, default=1.5, rule=_AT_LEAST_1,
+    ),
+    "--degraded-links": Flag(
+        "degraded mesh links per fault plan (default: 0)", type=int,
+        default=0, rule=_NON_NEGATIVE,
+    ),
+    "--link-slowdown": Flag(
+        "worst-case link bandwidth degradation factor (default: 2.0)",
+        type=float, default=2.0, rule=_AT_LEAST_1,
+    ),
+    "--jitter": Flag(
+        "max extra collective launch latency, seconds (default: 0)",
+        type=float, default=0.0, rule=_NON_NEGATIVE,
+    ),
+    "--outage-rate": Flag(
+        "per-transfer transient outage probability (default: 0)",
+        type=float, default=0.0,
+        rule=(lambda v: 0.0 <= v <= 1.0, "must be in [0, 1]"),
+    ),
+    "--ensemble": Flag(
+        "number of sampled fault plans (default: 16)", type=int, default=16,
+        rule=_AT_LEAST_1,
+    ),
+    "--quantile": Flag(
+        "tail quantile to minimize (default: 0.95)", type=float,
+        default=0.95, rule=(lambda v: 0.0 < v <= 1.0, "must be in (0, 1]"),
+    ),
+    "--seed": Flag(
+        "seed of the failure-arrival process (default: 0)", type=int,
+        default=0, rule=_NON_NEGATIVE,
+        overrides={
+            "faults": dict(
+                rule=None, help="base seed of the fault ensemble (default: 0)"
+            ),
+            "sdc": dict(help="base seed of the injection ensemble (default: 0)"),
+        },
+    ),
+    "--chip-mtbf-hours": Flag(
+        "per-chip mean time between failures, hours (default: 2000)",
+        type=float, default=2000.0, rule=_POSITIVE,
+    ),
+    "--repair-minutes": Flag(
+        "chip repair/replacement time, minutes (default: 60)", type=float,
+        default=60.0, rule=_NON_NEGATIVE,
+    ),
+    "--checkpoint-seconds": Flag(
+        "checkpoint write cost, seconds (default: 60)", type=float,
+        default=60.0, rule=_POSITIVE,
+    ),
+    "--restart-seconds": Flag(
+        "restart (reload + reschedule) cost, seconds (default: 180)",
+        type=float, default=180.0, rule=_NON_NEGATIVE,
+    ),
+    "--policy": Flag(
+        "recovery policy to evaluate (default: both)",
+        choices=("restart", "degrade", "both"), default="both",
+        overrides={"elastic": dict(
+            choices=("restart", "degrade", "replace", "reshape", "all"),
+            default="all", help="elastic policy to simulate (default: all)",
+        )},
+    ),
+    "--spares": Flag(
+        "spare chips in the replacement pool (default: 0)", type=int,
+        default=0, rule=_NON_NEGATIVE,
+    ),
+    "--duration-days": Flag(
+        "simulated horizon in days (default: 30)", type=float, default=30.0,
+        rule=_POSITIVE,
+    ),
+    "--plane": Flag(
+        "comm plane of the reshard migrations (default: onesided)",
+        choices=("onesided", "collective"), default="onesided",
+    ),
+    "--events": Flag(
+        "write the structured JSONL event log (requires a single --policy, "
+        "not 'all')", metavar="PATH",
+    ),
+    "--rate": Flag(
+        "SDC rate(s) to sweep; repeatable (default: 1e-3 1e-2 0.05)",
+        type=float, action="append", metavar="R",
+        rule=(lambda rates: all(0.0 <= r <= 1.0 for r in rates),
+              "every rate must be in [0, 1]"),
+    ),
+    "--trials": Flag(
+        "functional trials per grid point (default: 8)", type=int, default=8,
+        rule=_AT_LEAST_1,
+    ),
+    "--jobs": Flag(
+        "worker processes for the grid (default: REPRO_JOBS env var, then "
+        "the CPU count)", type=int, rule=_AT_LEAST_1,
+        overrides={
+            "run": dict(
+                help="worker processes for experiment grids (default: "
+                     "REPRO_JOBS env var, then the CPU count)",
+            ),
+            "sdc": dict(help="worker processes for the sweep grid"),
+        },
+    ),
+    "--store": Flag(
+        "campaign-store directory", metavar="DIR", required=True,
+        overrides={
+            **dict.fromkeys(
+                ("campaign run", "campaign resume"),
+                dict(help="campaign-store directory (created if missing)"),
+            ),
+            "serve": dict(
+                required=None,
+                help="plan-store directory (created if missing; default: "
+                     "in-memory only, nothing persists)",
+            ),
+        },
+    ),
+    "--workers": Flag(
+        "thread-pool width for distinct concurrent requests (default: 4)",
+        type=int, default=4, rule=_AT_LEAST_1,
+    ),
+    "--replay": Flag(
+        "one-shot mode: replay a JSONL query file and exit", metavar="FILE",
+    ),
+    "--repeat": Flag(
+        "replay the query mix this many times (default: 1)", type=int,
+        default=1, rule=_AT_LEAST_1,
+    ),
+    "--no-warm-start": Flag(
+        "disable neighbor-seeded search (results are identical; only "
+        "pruning changes)", action="store_true",
+    ),
+    "--store-max-records": Flag(
+        "bound the plan store to N records, evicting the "
+        "least-recently-used (default: unbounded)", type=int, metavar="N",
+        rule=_AT_LEAST_1,
+    ),
+    "--store-max-bytes": Flag(
+        "bound the plan store to B bytes of records, evicting the "
+        "least-recently-used (default: unbounded)", type=int, metavar="B",
+        rule=_AT_LEAST_1,
+    ),
+    "--retries": Flag(
+        "retry attempts per failing point (default: 2)", type=int, default=2,
+        rule=_NON_NEGATIVE,
+    ),
+    "--backoff": Flag(
+        "base retry backoff, seconds; doubles per attempt (default: 0.05)",
+        type=float, default=0.05, rule=_NON_NEGATIVE,
+    ),
+    "--retry-failed": Flag(
+        "re-run points whose stored record is 'failed' (appends "
+        "superseding records)", action="store_true",
+    ),
+    "--metrics": Flag(
+        "write collected metrics to a JSONL file after the command "
+        "(schema: docs/observability.md)", metavar="PATH",
+    ),
+    "--engine": Flag(
+        "simulation engine (default: REPRO_ENGINE env var, then 'heap'); "
+        "'compiled' exploits repeated program structure and produces "
+        "bit-identical results", choices=ENGINE_NAMES,
+    ),
+}
 
 
 def normalize_argv(argv: List[str]) -> List[str]:
@@ -504,16 +357,16 @@ def run_experiment(name: str) -> str:
     return spec.render(spec_rows(spec))
 
 
-def _cmd_list() -> int:
+def _cmd_list(args: argparse.Namespace) -> int:
     for name in sorted(EXPERIMENTS):
         doc = (EXPERIMENTS[name].__doc__ or "").strip().splitlines()[0]
         print(f"{name:22s} {doc}")
     return 0
 
 
-def _cmd_models() -> int:
+def _cmd_models(args: argparse.Namespace) -> int:
     from repro.experiments.common import render_table
-    from repro.models import get_model, model_names
+    from repro.models import model_names
 
     rows = []
     for name in model_names():
@@ -531,9 +384,9 @@ def _cmd_models() -> int:
     return 0
 
 
-def _cmd_presets() -> int:
+def _cmd_presets(args: argparse.Namespace) -> int:
     from repro.experiments.common import render_table
-    from repro.hw import get_preset, preset_names
+    from repro.hw import preset_names
 
     rows = []
     for name in preset_names():
@@ -555,46 +408,13 @@ def _cmd_presets() -> int:
     return 0
 
 
-def _resolve_cluster(args: argparse.Namespace):
-    """Shared model/hw/batch resolution of ``tune`` and ``faults``.
-
-    Returns ``(model, hw, batch)`` or an exit code on bad input.
-    """
-    if args.model is None:
-        print(
-            f"usage: meshslice {args.command} <model> "
-            "[--chips N] [--batch B] [--hw P]",
-            file=sys.stderr,
-        )
-        return 2
-    from repro.hw import get_preset
-    from repro.models import get_model
-
-    try:
-        model = get_model(args.model)
-        hw = get_preset(args.hw)
-    except KeyError as exc:
-        print(exc, file=sys.stderr)
-        return 2
-    batch = args.batch if args.batch is not None else max(1, args.chips // 2)
-    return model, hw, batch
+def _batch(args: argparse.Namespace) -> int:
+    """``--batch``, defaulting to half the cluster."""
+    return args.batch if args.batch is not None else max(1, args.chips // 2)
 
 
 def _cmd_tune(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "tune",
-        [
-            ("--chips", args.chips, args.chips >= 1, "must be >= 1"),
-            ("--batch", args.batch,
-             args.batch is None or args.batch >= 1, "must be >= 1"),
-        ],
-    )
-    if bad:
-        return bad
-    resolved = _resolve_cluster(args)
-    if isinstance(resolved, int):
-        return resolved
-    model, hw, batch = resolved
+    model, hw, batch = args.model, args.hw, _batch(args)
     from repro.experiments.common import render_table
     from repro.service import TuneRequest
 
@@ -627,42 +447,8 @@ def _bad_flag(command: str, flag: str, value: object, requirement: str) -> int:
     return 2
 
 
-def _check_flags(command: str, checks) -> int:
-    """Validate ``(flag, value, ok, requirement)`` tuples; 0 if all pass."""
-    for flag, value, ok, requirement in checks:
-        if not ok:
-            return _bad_flag(command, flag, value, requirement)
-    return 0
-
-
 def _cmd_faults(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "faults",
-        [
-            ("--stragglers", args.stragglers,
-             args.stragglers >= 0, "must be non-negative"),
-            ("--straggler-slowdown", args.straggler_slowdown,
-             args.straggler_slowdown >= 1.0, "must be >= 1"),
-            ("--degraded-links", args.degraded_links,
-             args.degraded_links >= 0, "must be non-negative"),
-            ("--link-slowdown", args.link_slowdown,
-             args.link_slowdown >= 1.0, "must be >= 1"),
-            ("--jitter", args.jitter,
-             args.jitter >= 0.0, "must be non-negative"),
-            ("--outage-rate", args.outage_rate,
-             0.0 <= args.outage_rate <= 1.0, "must be in [0, 1]"),
-            ("--ensemble", args.ensemble,
-             args.ensemble >= 1, "must be >= 1"),
-            ("--quantile", args.quantile,
-             0.0 < args.quantile <= 1.0, "must be in (0, 1]"),
-        ],
-    )
-    if bad:
-        return bad
-    resolved = _resolve_cluster(args)
-    if isinstance(resolved, int):
-        return resolved
-    model, hw, batch = resolved
+    model, hw, batch = args.model, args.hw, _batch(args)
     from repro.experiments.common import render_table
     from repro.faults import FaultSpec
     from repro.service import TuneRequest
@@ -717,27 +503,7 @@ def _cmd_faults(args: argparse.Namespace) -> int:
 
 
 def _cmd_recovery(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "recovery",
-        [
-            ("--chip-mtbf-hours", args.chip_mtbf_hours,
-             args.chip_mtbf_hours > 0.0, "must be positive"),
-            ("--repair-minutes", args.repair_minutes,
-             args.repair_minutes >= 0.0, "must be non-negative"),
-            ("--checkpoint-seconds", args.checkpoint_seconds,
-             args.checkpoint_seconds > 0.0, "must be positive"),
-            ("--restart-seconds", args.restart_seconds,
-             args.restart_seconds >= 0.0, "must be non-negative"),
-            ("--chips", args.chips, args.chips >= 4,
-             "need at least a 2x2 mesh to survive a dead chip"),
-        ],
-    )
-    if bad:
-        return bad
-    resolved = _resolve_cluster(args)
-    if isinstance(resolved, int):
-        return resolved
-    model, hw, batch = resolved
+    model, hw, batch = args.model, args.hw, _batch(args)
     from repro.experiments.ablation_recovery import _point
     from repro.experiments.common import GridPointError, render_table
 
@@ -790,46 +556,12 @@ def _cmd_recovery(args: argparse.Namespace) -> int:
 
 
 def _cmd_elastic(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "elastic",
-        [
-            ("--spares", args.spares, args.spares >= 0,
-             "must be non-negative"),
-            ("--duration-days", args.duration_days,
-             args.duration_days > 0.0, "must be positive"),
-            ("--seed", args.seed, args.seed >= 0, "must be non-negative"),
-            ("--chip-mtbf-hours", args.chip_mtbf_hours,
-             args.chip_mtbf_hours > 0.0, "must be positive"),
-            ("--repair-minutes", args.repair_minutes,
-             args.repair_minutes >= 0.0, "must be non-negative"),
-            ("--checkpoint-seconds", args.checkpoint_seconds,
-             args.checkpoint_seconds > 0.0, "must be positive"),
-            ("--restart-seconds", args.restart_seconds,
-             args.restart_seconds >= 0.0, "must be non-negative"),
-            ("--events", args.events,
-             args.events is None or args.policy != "all",
-             "needs a single --policy, not 'all'"),
-        ],
-    )
-    if bad:
-        return bad
-    if args.model is None:
-        print(
-            "usage: meshslice elastic <model> [--mesh RxC] [--batch B] "
-            "[--hw P] [--policy NAME]",
-            file=sys.stderr,
+    if args.events is not None and args.policy == "all":
+        return _bad_flag(
+            "elastic", "--events", args.events,
+            "needs a single --policy, not 'all'",
         )
-        return 2
-    from repro.hw import get_preset
-    from repro.models import get_model
-
-    try:
-        model = get_model(args.model)
-        hw = get_preset(args.hw)
-        (shape,) = _parse_mesh_shapes([args.mesh])
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    model, hw = args.model, args.hw
     from repro.experiments.common import render_table
     from repro.mesh import Mesh2D
     from repro.recovery import (
@@ -840,12 +572,11 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
         simulate_lifetime,
     )
 
-    mesh = Mesh2D(*shape)
+    mesh = Mesh2D(*args.mesh)
     batch = args.batch if args.batch is not None else max(1, mesh.size // 2)
     if mesh.size < 4:
         return _bad_flag(
-            "elastic", "--mesh", args.mesh,
-            "need at least a 2x2 mesh to survive a dead chip",
+            "elastic", "--mesh", f"{mesh.rows}x{mesh.cols}", _TWO_BY_TWO
         )
     planner = TunedElasticPlanner(
         model, batch, hw, mesh, plane=args.plane, engine=args.engine
@@ -911,48 +642,14 @@ def _cmd_elastic(args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_mesh_shapes(specs) -> List:
-    """Parse repeatable ``RxC`` mesh flags into shape tuples."""
-    shapes = []
-    for spec in specs:
-        parts = spec.lower().split("x")
-        if len(parts) != 2 or not all(p.isdigit() and int(p) > 0 for p in parts):
-            raise ValueError(f"invalid mesh shape {spec!r} (expected RxC)")
-        shapes.append((int(parts[0]), int(parts[1])))
-    return shapes
-
-
 def _cmd_sdc(args: argparse.Namespace) -> int:
-    rates = tuple(args.rate) if args.rate else None
-    bad = _check_flags(
-        "sdc",
-        [
-            ("--trials", args.trials, args.trials >= 1, "must be >= 1"),
-            ("--rate", rates,
-             rates is None or all(0.0 <= r <= 1.0 for r in rates),
-             "every rate must be in [0, 1]"),
-            ("--jobs", args.jobs,
-             args.jobs is None or args.jobs >= 1, "must be >= 1"),
-            ("--seed", args.seed, args.seed >= 0, "must be non-negative"),
-        ],
-    )
-    if bad:
-        return bad
     from repro.experiments import ablation_sdc
-    from repro.hw import get_preset
 
-    try:
-        hw = get_preset(args.hw)
-        meshes = (
-            _parse_mesh_shapes(args.mesh) if args.mesh
-            else list(ablation_sdc.MESHES)
-        )
-    except (KeyError, ValueError) as exc:
-        print(exc, file=sys.stderr)
-        return 2
+    rates = tuple(args.rate) if args.rate else None
+    hw = args.hw
     rows = ablation_sdc.run(
         rates=rates or ablation_sdc.RATES,
-        meshes=meshes,
+        meshes=args.mesh or list(ablation_sdc.MESHES),
         trials=args.trials,
         seed=args.seed if args.seed else ablation_sdc.DEFAULT_SEED,
         algorithm=args.algorithm,
@@ -987,20 +684,7 @@ _RUN_METRICS: List[object] = []
 
 
 def _cmd_profile(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "profile",
-        [
-            ("--chips", args.chips, args.chips >= 1, "must be >= 1"),
-            ("--batch", args.batch,
-             args.batch is None or args.batch >= 1, "must be >= 1"),
-        ],
-    )
-    if bad:
-        return bad
-    resolved = _resolve_cluster(args)
-    if isinstance(resolved, int):
-        return resolved
-    model, hw, batch = resolved
+    model, hw, batch = args.model, args.hw, _batch(args)
     from repro.obs.profile import profile_block
 
     report = profile_block(
@@ -1041,21 +725,6 @@ def _describe_result(result) -> str:
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "serve",
-        [
-            ("--workers", args.workers, args.workers >= 1, "must be >= 1"),
-            ("--repeat", args.repeat, args.repeat >= 1, "must be >= 1"),
-            ("--store-max-records", args.store_max_records,
-             args.store_max_records is None or args.store_max_records >= 1,
-             "must be >= 1"),
-            ("--store-max-bytes", args.store_max_bytes,
-             args.store_max_bytes is None or args.store_max_bytes >= 1,
-             "must be >= 1"),
-        ],
-    )
-    if bad:
-        return bad
     bounded = (
         args.store_max_records is not None or args.store_max_bytes is not None
     )
@@ -1134,27 +803,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     import os
 
-    action = getattr(args, "campaign_command", None)
-    if action is None:
-        print(
-            "usage: meshslice campaign {run,resume,status,report} ...",
-            file=sys.stderr,
-        )
-        return 2
-    if action in ("run", "resume"):
-        bad = _check_flags(
-            f"campaign {action}",
-            [
-                ("--jobs", args.jobs,
-                 args.jobs is None or args.jobs >= 1, "must be >= 1"),
-                ("--retries", args.retries,
-                 args.retries >= 0, "must be non-negative"),
-                ("--backoff", args.backoff,
-                 args.backoff >= 0.0, "must be non-negative"),
-            ],
-        )
-        if bad:
-            return bad
+    action = args.action
     from repro.campaign import (
         CampaignRunner,
         CampaignStore,
@@ -1222,7 +871,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             blocks.append(status(store, campaign_name).render())
         print("\n\n".join(blocks))
         return 0
-    print(report(store, name, spec))
+    try:
+        print(report(store, name, spec))
+    except ValueError as exc:
+        # A stored row that does not decode (e.g. a foreign type ref).
+        print(f"meshslice campaign report: {exc}", file=sys.stderr)
+        return 2
     return 0
 
 
@@ -1234,15 +888,6 @@ def _write_metrics(path: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    bad = _check_flags(
-        "run",
-        [
-            ("--jobs", args.jobs,
-             args.jobs is None or args.jobs >= 1, "must be >= 1"),
-        ],
-    )
-    if bad:
-        return bad
     if args.jobs is not None:
         # The experiment grids read the worker count from the
         # environment, so one flag reaches every grid they run.
@@ -1270,6 +915,207 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
+class Command(NamedTuple):
+    """One subcommand: its parser text, flags in order, and handler.
+
+    ``usage`` is printed when the command's leading positional (the
+    model) is missing. ``actions`` are nested subcommands (labelled
+    ``"<name> <action>"``) that run through this command's handler.
+    """
+
+    name: str
+    help: str
+    handler: Optional[Callable[[argparse.Namespace], int]] = None
+    flags: Tuple[str, ...] = ()
+    description: Optional[str] = None
+    usage: Optional[str] = None
+    actions: Tuple["Command", ...] = ()
+
+
+_CLUSTER = ("model", "--chips", "--batch", "--hw")
+_CLUSTER_USAGE = "<model> [--chips N] [--batch B] [--hw P]"
+_RELIABILITY = (
+    "--chip-mtbf-hours", "--repair-minutes", "--checkpoint-seconds",
+    "--restart-seconds",
+)
+_CAMPAIGN_RUN = (
+    "experiment", "--store", "--jobs", "--retries", "--backoff",
+    "--retry-failed", "--metrics", "--engine",
+)
+_CAMPAIGN_RUN_HELP = "run a campaign (skips points already in the store)"
+_CAMPAIGN_RESUME_HELP = "continue an interrupted campaign (store must exist)"
+
+#: Every subcommand; anything else in command position is treated as
+#: an experiment name and routed through ``run`` (legacy alias).
+SUBCOMMANDS: Tuple[Command, ...] = (
+    Command(
+        "run", "run experiments by name ('all' for every one)", _cmd_run,
+        ("experiments", "--jobs", "--metrics", "--engine"),
+        "Run one or more experiment reproductions.",
+    ),
+    Command("list", "enumerate the available experiments", _cmd_list),
+    Command(
+        "tune", "autotune mesh shape and slice counts for a model", _cmd_tune,
+        (*_CLUSTER, "--metrics", "--engine"),
+        "Run the two-phase autotuner (Section 3.2).", usage=_CLUSTER_USAGE,
+    ),
+    Command(
+        "faults", "fault-aware robust tuning over a straggler/link ensemble",
+        _cmd_faults,
+        (*_CLUSTER, "--algorithm", "--stragglers", "--straggler-slowdown",
+         "--degraded-links", "--link-slowdown", "--jitter", "--outage-rate",
+         "--ensemble", "--quantile", "--seed", "--metrics"),
+        "Choose the mesh shape minimizing a tail quantile of the simulated "
+        "block time over a seeded ensemble of fault plans (stragglers, "
+        "degraded links, jitter, outages).",
+        usage=_CLUSTER_USAGE,
+    ),
+    Command(
+        "recovery", "goodput of recovery policies (restart vs degraded mesh)",
+        _cmd_recovery, (*_CLUSTER, *_RELIABILITY, "--policy", "--metrics"),
+        "Compare end-to-end goodput of checkpoint-restart against "
+        "degraded-mesh continuation: tune the model, re-tune it on the "
+        "torus surviving one dead chip, and combine both step times with "
+        "the Young/Daly checkpoint model.",
+        usage=_CLUSTER_USAGE,
+    ),
+    Command(
+        "elastic", "seeded multi-failure lifetime simulation of elastic "
+        "policies", _cmd_elastic,
+        ("model", "--mesh", "--batch", "--hw", "--policy", "--spares",
+         "--duration-days", "--seed", *_RELIABILITY, "--plane", "--events",
+         "--metrics", "--engine"),
+        "Simulate a multi-day training run under chip failures: tune the "
+        "model on the full torus, then replay a seeded failure/repair "
+        "history under restart, degrade, replace-from-spares, or reshape "
+        "policies — charging checkpoint rollback and the simulated "
+        "reshard-migration program for every reconfiguration — and compare "
+        "the simulated goodput against the closed-form policy math.",
+        usage="<model> [--mesh RxC] [--batch B] [--hw P] [--policy NAME]",
+    ),
+    Command(
+        "sdc", "silent-data-corruption sweep: ABFT protection vs escapes",
+        _cmd_sdc,
+        ("--rate", "--mesh", "--algorithm", "--trials", "--seed", "--hw",
+         "--jobs", "--metrics"),
+        "Inject seeded bit flips into the functional 2D GeMM with and "
+        "without ABFT checksums, and report escape counts, correction "
+        "statistics, and the simulated protection overhead per (rate, "
+        "mesh) grid point.",
+    ),
+    Command(
+        "profile", "profile one deployment point: where does the time go?",
+        _cmd_profile, (*_CLUSTER, "--algorithm", "--metrics", "--engine"),
+        "Simulate one transformer block at the algorithm's optimal mesh "
+        "shape and report per-resource utilization, the "
+        "compute/communication overlap fraction, the communication "
+        "breakdown, queue waits, and memoization hit rates.",
+        usage=_CLUSTER_USAGE,
+    ),
+    Command(
+        "serve", "serve tuning requests from a persistent plan store",
+        _cmd_serve,
+        ("--store", "--workers", "--replay", "--repeat", "--no-warm-start",
+         "--store-max-records", "--store-max-bytes", "--metrics",
+         "--engine"),
+        "Run the tuning service: JSONL TuneRequest queries (one object per "
+        "line; see docs/service.md) are answered through the in-memory "
+        "cache, the on-disk plan store, and finally a warm-started search. "
+        "Queries come from stdin by default, or from a file with --replay "
+        "(one-shot mode).",
+    ),
+    Command(
+        "campaign", "durable, resumable experiment sweeps (crash-tolerant)",
+        _cmd_campaign,
+        description="Run an experiment's grid as a campaign: every grid "
+        "point appends a durable record to an append-only JSONL store, so "
+        "a killed sweep resumes where it stopped, transient failures retry "
+        "with backoff, and permanent failures are recorded instead of "
+        "aborting the grid (docs/campaign.md).",
+        actions=(
+            Command("run", _CAMPAIGN_RUN_HELP, flags=_CAMPAIGN_RUN,
+                    description=_CAMPAIGN_RUN_HELP),
+            Command("resume", _CAMPAIGN_RESUME_HELP, flags=_CAMPAIGN_RUN,
+                    description=_CAMPAIGN_RESUME_HELP),
+            Command(
+                "status",
+                "summarize stored campaigns (ok/failed counts, versions)",
+                flags=("experiment", "--store"),
+            ),
+            Command(
+                "report",
+                "render the experiment's table from its stored records",
+                flags=("experiment", "--store"),
+            ),
+        ),
+    ),
+    Command("models", "list the model zoo", _cmd_models),
+    Command("presets", "list the hardware presets", _cmd_presets),
+)
+
+_BY_NAME: Dict[str, Command] = {command.name: command for command in SUBCOMMANDS}
+
+#: The real subcommand names (``normalize_argv``'s routing set).
+COMMANDS = tuple(_BY_NAME)
+
+
+def _dest(name: str) -> str:
+    return name.lstrip("-").replace("-", "_")
+
+
+def _add_commands(parser, commands, dest: str, label: str = "") -> None:
+    sub = parser.add_subparsers(dest=dest, metavar=dest)
+    for command in commands:
+        child = sub.add_parser(
+            command.name, help=command.help, description=command.description
+        )
+        for name in command.flags:
+            FLAGS[name].at(label + command.name).add_to(child, name)
+        if command.actions:
+            _add_commands(
+                child, command.actions, "action", f"{label}{command.name} "
+            )
+
+
+def build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="meshslice",
+        description="MeshSlice (ISCA 2025) reproduction toolkit",
+    )
+    _add_commands(parser, SUBCOMMANDS, "command")
+    return parser
+
+
+def _prepare(command: Command, label: str, args: argparse.Namespace) -> int:
+    """Check, then convert, ``args`` per the flag table; 0 or exit 2.
+
+    Rules run in the command's declared flag order, then a missing
+    leading positional prints the command's usage, then converters run
+    (model name, hardware preset, ``RxC`` mesh) in the same order.
+    """
+    flags = [(_dest(name), name, FLAGS[name].at(label)) for name in command.flags]
+    for dest, name, flag in flags:
+        value = getattr(args, dest)
+        if flag.rule is not None and value is not None:
+            ok, requirement = flag.rule
+            if not ok(value):
+                # A repeatable flag reports its values as a tuple.
+                shown = tuple(value) if isinstance(value, list) else value
+                return _bad_flag(label, name, shown, requirement)
+    if command.usage is not None and getattr(args, flags[0][0]) is None:
+        print(f"usage: meshslice {label} {command.usage}", file=sys.stderr)
+        return 2
+    for dest, _, flag in flags:
+        value = getattr(args, dest)
+        if flag.convert is not None and value is not None:
+            try:
+                setattr(args, dest, flag.convert(value))
+            except (KeyError, ValueError) as exc:
+                print(exc, file=sys.stderr)
+                return 2
+    return 0
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     try:
         return _main(argv)
@@ -1286,25 +1132,23 @@ def _main(argv: Optional[List[str]] = None) -> int:
     if args.command is None:
         parser.print_help(sys.stderr)
         return 2
+    command = _BY_NAME[args.command]
+    handler, label = command.handler, command.name
+    if command.actions:
+        actions = {action.name: action for action in command.actions}
+        if args.action is None:
+            print(
+                f"usage: meshslice {label} {{{','.join(actions)}}} ...",
+                file=sys.stderr,
+            )
+            return 2
+        command, label = actions[args.action], f"{label} {args.action}"
+    code = _prepare(command, label, args)
+    if code:
+        return code
     if getattr(args, "engine", None) is not None:
-        from repro.sim.compiled import set_default_engine
-
         set_default_engine(args.engine)
-    handlers = {
-        "run": lambda: _cmd_run(args),
-        "list": _cmd_list,
-        "tune": lambda: _cmd_tune(args),
-        "faults": lambda: _cmd_faults(args),
-        "recovery": lambda: _cmd_recovery(args),
-        "elastic": lambda: _cmd_elastic(args),
-        "sdc": lambda: _cmd_sdc(args),
-        "profile": lambda: _cmd_profile(args),
-        "serve": lambda: _cmd_serve(args),
-        "campaign": lambda: _cmd_campaign(args),
-        "models": _cmd_models,
-        "presets": _cmd_presets,
-    }
-    code = handlers[args.command]()
+    code = handler(args)
     metrics_path = getattr(args, "metrics", None)
     if code == 0 and metrics_path:
         _write_metrics(metrics_path)

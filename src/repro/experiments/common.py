@@ -42,6 +42,8 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import threading
+import time
 import traceback
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple, TypeVar
 
@@ -536,6 +538,24 @@ class _GridWorker:
             raise wrapped from exc
 
 
+def _exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the worker's parent is gone.
+
+    A grid owner that is SIGKILLed never shuts its pool down, and the
+    workers would otherwise block on the call queue forever as orphans.
+    A daemon thread polls ``os.getppid()`` against the pid that started
+    the worker and ends the process when they differ.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(0.5)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="grid-parent-watch", daemon=True).start()
+
+
 def grid_map(
     fn: Callable[[_T], _R],
     items: Iterable[_T],
@@ -598,7 +618,9 @@ def grid_map(
     )
     reg = registry()
     try:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(
+            max_workers=workers, initializer=_exit_with_parent
+        ) as pool:
             # pool.map yields in input order; envelopes merge and
             # progress fires as each point streams home, so delivered
             # prefixes stay valid even if the pool breaks later.

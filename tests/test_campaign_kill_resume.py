@@ -13,6 +13,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 CAMPAIGN = "kill-test"
@@ -84,8 +86,38 @@ def _record_count(store_file):
         return 0
 
 
+def _descendants(pid):
+    """Pids of ``pid``'s live descendant processes, from ``/proc``."""
+    children = {}
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except (OSError, IndexError):
+            continue
+        children.setdefault(int(fields[1]), []).append(int(stat.parent.name))
+    found, frontier = [], [pid]
+    while frontier:
+        kids = children.get(frontier.pop(), [])
+        found.extend(kids)
+        frontier.extend(kids)
+    return found
+
+
+def _running(pid):
+    """Whether ``pid`` still runs (a zombie has exited)."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rsplit(")", 1)[1].split()[0] != "Z"
+
+
 def _kill_mid_sweep(root, jobs, hashseed):
-    """Start a sweep, SIGKILL it once records are landing."""
+    """Start a sweep, SIGKILL it once records are landing.
+
+    Returns the store's record count and the pids of the runner's
+    descendants (its grid pool workers) just before the kill.
+    """
     store_file = os.path.join(root, f"{CAMPAIGN}.jsonl")
     proc = subprocess.Popen(
         [sys.executable, "-c", SWEEP_SCRIPT, str(root), str(jobs),
@@ -95,9 +127,11 @@ def _kill_mid_sweep(root, jobs, hashseed):
         env=_env(hashseed),
     )
     deadline = time.monotonic() + 600
+    workers = []
     try:
         while proc.poll() is None and time.monotonic() < deadline:
             if _record_count(store_file) >= KILL_AFTER_RECORDS:
+                workers = _descendants(proc.pid)
                 proc.send_signal(signal.SIGKILL)
                 break
             time.sleep(0.01)
@@ -110,7 +144,7 @@ def _kill_mid_sweep(root, jobs, hashseed):
     # sweep won the race and finished; both must resume cleanly.
     count = _record_count(store_file)
     assert count > 0, "sweep was killed before any record landed"
-    return count
+    return count, workers
 
 
 def _store_bytes(root):
@@ -122,7 +156,15 @@ class TestKillResumeDeterminism:
     def _check(self, tmp_path, jobs):
         killed_root = str(tmp_path / "killed")
         os.makedirs(killed_root)
-        _kill_mid_sweep(killed_root, jobs, hashseed="0")
+        _, workers = _kill_mid_sweep(killed_root, jobs, hashseed="0")
+        if jobs > 1 and os.path.isdir("/proc"):
+            # Pool workers must not outlive a SIGKILLed runner.
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, workers)), (
+                f"orphaned grid workers still running: {workers}"
+            )
         out = _sweep(killed_root, jobs, hashseed="17")
         assert "complete=True" in out and "failed=0" in out
         cold_root = str(tmp_path / "cold")
@@ -147,3 +189,54 @@ class TestResumeSkipsWork:
         second = _sweep(root, 1, hashseed="99")
         assert f"complete=True ran=0 skipped={N_POINTS}" in second
         assert _store_bytes(root) == before
+
+
+#: A pooled grid whose points block: argv = (marker_dir,).
+BLOCKED_GRID_SCRIPT = """
+import os, sys, time
+from repro.experiments.common import grid_map
+
+
+def point(n):
+    open(os.path.join(sys.argv[1], f"started-{n}"), "w").close()
+    time.sleep(60)
+
+
+grid_map(point, range(2), jobs=2)
+"""
+
+
+class TestKilledRunnerLeavesNoWorkers:
+    def test_pool_workers_exit_with_their_parent(self, tmp_path):
+        """SIGKILL a grid owner whose workers are busy: they must exit."""
+        if not os.path.isdir("/proc"):
+            pytest.skip("needs /proc to list descendant processes")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", BLOCKED_GRID_SCRIPT, str(tmp_path)],
+            env=_env("0"),
+        )
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while len(list(tmp_path.glob("started-*"))) < 2:
+                assert proc.poll() is None and time.monotonic() < deadline
+                time.sleep(0.05)
+            workers = _descendants(proc.pid)
+            assert workers
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=60)
+            deadline = time.monotonic() + 10
+            while any(map(_running, workers)) and time.monotonic() < deadline:
+                time.sleep(0.1)
+            assert not any(map(_running, workers)), (
+                f"orphaned grid workers still running: {workers}"
+            )
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait()
+            for pid in workers:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except OSError:
+                    pass

@@ -2,6 +2,9 @@
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +23,8 @@ from repro.campaign import (
 )
 from repro.campaign.records import record_metrics
 from repro.obs.registry import MetricsRegistry, registry
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
 def _record(key="k", status="ok", **overrides):
@@ -69,6 +74,33 @@ class TestCodec:
     def test_marker_collision_rejected(self):
         with pytest.raises(TypeError):
             encode_value({"__tuple__": [1]})
+
+    def test_foreign_ref_refused_without_import(self):
+        """A record naming a module outside repro never imports it."""
+        script = (
+            "import sys\n"
+            "from repro.campaign.codec import decode_value\n"
+            "try:\n"
+            "    decode_value({'__dataclass__': 'this:x', 'fields': {}})\n"
+            "except ValueError:\n"
+            "    print('refused', 'this' in sys.modules)\n"
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.stdout == "refused False\n", proc.stderr
+
+    @pytest.mark.parametrize("ref", [
+        "repro.no_such_module:Row", "repro:NoSuchRow", "reprox:Row", 7,
+    ])
+    def test_unresolvable_ref_is_value_error(self, ref):
+        with pytest.raises(ValueError):
+            decode_value({"__dataclass__": ref, "fields": {}})
+        with pytest.raises(ValueError):
+            decode_value({"__enum__": ref, "name": "OS"})
 
     def test_non_string_dict_keys_rejected(self):
         with pytest.raises(TypeError):

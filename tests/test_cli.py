@@ -329,3 +329,79 @@ class TestCampaignCommand:
         assert normalize_argv(["campaign", "status", "--store", "x"]) == [
             "campaign", "status", "--store", "x"
         ]
+
+
+class TestClusterFlagValidation:
+    @pytest.mark.parametrize("command", ["tune", "profile"])
+    @pytest.mark.parametrize("flag", ["--chips", "--batch"])
+    def test_bad_flag_exits_2_naming_the_flag(self, capsys, command, flag):
+        assert main([command, "gpt3-175b", "--chips", "16", flag, "0"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, "diagnostic must be one line"
+        assert flag in err
+
+
+class TestRunFlagValidation:
+    def test_bad_jobs_exits_2_naming_the_flag(self, capsys):
+        assert main(["run", "ablation-2.5d", "--jobs", "0"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, "diagnostic must be one line"
+        assert "--jobs" in err
+
+
+class TestElasticFlagValidation:
+    @pytest.mark.parametrize("flag,value", [
+        ("--spares", "-1"),
+        ("--duration-days", "0"),
+        ("--seed", "-1"),
+        ("--chip-mtbf-hours", "0"),
+        ("--repair-minutes", "-1"),
+        ("--checkpoint-seconds", "0"),
+        ("--restart-seconds", "-1"),
+        ("--events", "events.jsonl"),  # with the default --policy all
+        ("--mesh", "1x2"),
+    ])
+    def test_bad_flag_exits_2_naming_the_flag(self, capsys, flag, value):
+        assert main(["elastic", "gpt3-175b", flag, value]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, "diagnostic must be one line"
+        assert flag in err
+
+
+class TestCampaignReportDecoding:
+    def test_foreign_type_ref_exits_2(self, capsys, tmp_path):
+        store = tmp_path / "sweeps"
+        assert main([
+            "campaign", "run", "ablation-2.5d", "--store", str(store),
+            "--jobs", "1",
+        ]) == 0
+        path = store / "ablation-2.5d.jsonl"
+        text = path.read_text()
+        assert '"__dataclass__":"repro.' in text
+        path.write_text(
+            text.replace('"__dataclass__":"repro.', '"__dataclass__":"this.')
+        )
+        capsys.readouterr()
+        assert main([
+            "campaign", "report", "ablation-2.5d", "--store", str(store),
+        ]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.count("\n") == 0, "diagnostic must be one line"
+        assert err.startswith("meshslice campaign report:")
+
+
+class TestFlagTable:
+    def test_overrides_name_commands_that_take_the_flag(self):
+        from repro.cli import FLAGS, SUBCOMMANDS
+
+        takes = {}
+        for command in SUBCOMMANDS:
+            for label, sub in [(command.name, command)] + [
+                (f"{command.name} {action.name}", action)
+                for action in command.actions
+            ]:
+                for name in sub.flags:
+                    takes.setdefault(name, set()).add(label)
+        assert set(takes) == set(FLAGS), "every flag is declared and used"
+        for name, flag in FLAGS.items():
+            assert set(flag.overrides) <= takes[name], name

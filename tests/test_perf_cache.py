@@ -249,14 +249,21 @@ def test_content_store_shares_identical_programs(hw, cfg):
     assert stats.entries == 1
 
 
-def test_session_hit_rate_regression(hw):
+def test_session_hit_rate_regression(hw, monkeypatch):
     """A sweep + re-render session stays above 50% simulated_pass hits.
 
     The canonicalized cache keys are what make the evaluation loops
     cheap: fig. 9 + fig. 10 + fig. 12 followed by a fig. 9 re-render
     measured ~0.60 when this test was pinned (0.38 before
     canonicalization). A drop below 0.5 means a cache-key regression.
+
+    The bound is a property of one process reusing its own caches, so
+    the session runs in-process. Pooled grid workers fork from the
+    parent's caches and cannot share entries across experiments: with
+    each experiment started from cleared caches the same session
+    reaches at most 794/3010 = 0.26.
     """
+    monkeypatch.setenv("REPRO_JOBS", "1")
     from repro.experiments import (
         fig09_weak_scaling,
         fig10_comm_breakdown,
